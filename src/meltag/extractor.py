@@ -14,10 +14,9 @@ import sys
 
 import numpy as np
 
-from . import network
 from .errors import ConfigInvalidError, MeltagError, UnknownFeatureKeyError
 from .network import Model
-from .tagger import Taggram, audio_patches, resolve_model
+from .tagger import Taggram, infer_file, resolve_model
 
 FeatureSet = dict[str, np.ndarray]
 
@@ -30,15 +29,7 @@ def extract(
     The taggram is identical whichever way the flag is set; with the flag
     off the feature dictionary is simply empty.
     """
-    cfg = model.config.dsp
-    patches = audio_patches(path, model)
-    _, trace, _ = network.forward_batch(patches, model, bn_mode="infer")
-    seconds_per_patch_hop = cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate
-    taggram = Taggram(
-        values=trace["output"],
-        tags=model.tags,
-        patch_times=np.arange(len(patches)) * seconds_per_patch_hop,
-    )
+    taggram, trace = infer_file(path, model)
     features: FeatureSet = {}
     if extract_features:
         features = {key: value for key, value in trace.items() if key != "output"}

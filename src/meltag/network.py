@@ -6,17 +6,19 @@ envelope), a residual mid end over time, and either a temporal-pooling or an
 attention back end. The vgg family is five conv/bn/relu/max-pool blocks over
 the spectrogram treated as an image.
 
-Forward passes come in one shape, `forward_batch`, which handles a stacked
-[B, 1, T, M] batch in either batch-norm mode:
+Forward passes come in one shape, `forward_batch`, which runs a stacked
+[B, 1, T, M] batch through the graph with one batched `ops` call per layer,
+in either batch-norm mode:
 
   - "infer": running statistics; examples stay independent, so B=1 calls
     reproduce single-patch inference exactly.
   - "train": statistics of the current batch (examples couple through them).
 
 `backward_batch` mirrors it and returns one gradient array per parameter
-tensor, summed over examples in index order. In inference mode the running
-bn statistics receive exact gradients too, which lets the whole-network
-gradient check cover every stored tensor.
+tensor. The ops already sum each gradient over the batch in example index
+order, so this module only routes gradients between layers. In inference
+mode the running bn statistics receive exact gradients too, which lets the
+whole-network gradient check cover every stored tensor.
 """
 
 from __future__ import annotations
@@ -339,6 +341,13 @@ def build_model(
 # --- forward / backward -----------------------------------------------------
 
 
+def _store(grads: dict, layer: LayerParams, **values: np.ndarray | None) -> None:
+    """Record a layer's batch-summed gradients under '<layer>.<field>'."""
+    for field_name, value in values.items():
+        if value is not None:
+            grads[f"{layer.name}.{field_name}"] = value
+
+
 def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -> np.ndarray:
     """Batch norm over a stacked [B, C, ...] tensor in either mode."""
     if bn_mode == "train":
@@ -346,52 +355,27 @@ def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -
         cache["bn_cache"] = bn_cache
         cache["bn_stats"] = (layer.name, mean, var)
         return out
-    out = np.stack([ops.batchnorm_infer(xs[b], layer, BN_EPSILON) for b in range(xs.shape[0])])
     cache["bn_input"] = xs
-    return out
+    return ops.batchnorm_infer(xs, layer, BN_EPSILON)
 
 
 def _bn_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: "_GradStore"
+    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
 ) -> np.ndarray:
     if "bn_cache" in cache:
         grad_x, g_gamma, g_beta = ops.batchnorm_train_backward(layer, cache["bn_cache"], grad_out)
-        grads.add(layer.name, "bn_gamma", g_gamma)
-        grads.add(layer.name, "bn_beta", g_beta)
+        _store(grads, layer, bn_gamma=g_gamma, bn_beta=g_beta)
         return grad_x
-    xs = cache["bn_input"]
-    grad_x = np.empty_like(xs)
-    for b in range(xs.shape[0]):
-        gx, gg, gb, gm, gv = ops.batchnorm_infer_backward(xs[b], layer, grad_out[b], BN_EPSILON)
-        grad_x[b] = gx
-        grads.add(layer.name, "bn_gamma", gg)
-        grads.add(layer.name, "bn_beta", gb)
-        grads.add(layer.name, "bn_mean", gm)
-        grads.add(layer.name, "bn_var", gv)
+    grad_x, gg, gb, gm, gv = ops.batchnorm_infer_backward(cache["bn_input"], layer, grad_out, BN_EPSILON)
+    _store(grads, layer, bn_gamma=gg, bn_beta=gb, bn_mean=gm, bn_var=gv)
     return grad_x
-
-
-class _GradStore:
-    """Accumulates per-tensor gradients keyed '<layer>.<field>'."""
-
-    def __init__(self):
-        self.grads: dict[str, np.ndarray] = {}
-
-    def add(self, layer_name: str, field_name: str, value: np.ndarray | None) -> None:
-        if value is None:
-            return
-        key = f"{layer_name}.{field_name}"
-        if key in self.grads:
-            self.grads[key] = self.grads[key] + value
-        else:
-            self.grads[key] = np.array(value, copy=True)
 
 
 def _conv_bn_relu_forward(
     xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict
 ) -> np.ndarray:
     """conv -> bn -> relu over a stacked batch; caches what backward needs."""
-    conv = np.stack([ops.conv2d(xs[b], layer, pad_h, pad_w) for b in range(xs.shape[0])])
+    conv = ops.conv2d(xs, layer, pad_h, pad_w)
     cache.update(x=xs, pad=(pad_h, pad_w))
     bn = _bn_forward(conv, layer, bn_mode, cache)
     cache["pre_relu"] = bn
@@ -399,37 +383,21 @@ def _conv_bn_relu_forward(
 
 
 def _conv_bn_relu_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: _GradStore
+    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
 ) -> np.ndarray:
     grad_bn = ops.relu_backward(cache["pre_relu"], grad_out)
     grad_conv = _bn_backward(layer, cache, grad_bn, grads)
-    xs = cache["x"]
-    pad_h, pad_w = cache["pad"]
-    grad_x = np.empty_like(xs)
-    for b in range(xs.shape[0]):
-        gx, gw, gb = ops.conv2d_backward(xs[b], layer, grad_conv[b], pad_h, pad_w)
-        grad_x[b] = gx
-        grads.add(layer.name, "weights", gw)
-        grads.add(layer.name, "bias", gb)
+    grad_x, gw, gb = ops.conv2d_backward(cache["x"], layer, grad_conv, *cache["pad"])
+    _store(grads, layer, weights=gw, bias=gb)
     return grad_x
 
 
-def _dense_batch_forward(xs: np.ndarray, layer: LayerParams, cache: dict) -> np.ndarray:
-    out = np.stack([ops.dense(xs[b], layer) for b in range(xs.shape[0])])
-    cache["x"] = xs
-    return out
-
-
-def _dense_batch_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: _GradStore
+def _dense_backward(
+    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
 ) -> np.ndarray:
-    xs = cache["x"]
-    grad_x = np.empty_like(xs)
-    for b in range(xs.shape[0]):
-        gx, gw, gb = ops.dense_backward(xs[b], layer, grad_out[b])
-        grad_x[b] = gx
-        grads.add(layer.name, "weights", gw)
-        grads.add(layer.name, "bias", gb)
+    """Backward of ops.dense over the batch whose input the forward cached."""
+    grad_x, gw, gb = ops.dense_backward(cache["x"], layer, grad_out)
+    _store(grads, layer, weights=gw, bias=gb)
     return grad_x
 
 
@@ -509,28 +477,28 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.nda
         pooled = np.concatenate([mean_pool, max_pool], axis=1)
 
     pen_layer = model.layer("penultimate_dense")
-    c = cache["penultimate"] = {}
-    pen_lin = _dense_batch_forward(pooled, pen_layer, c)
+    c = cache["penultimate"] = {"x": pooled}
+    pen_lin = ops.dense(pooled, pen_layer)
     pen_bn = _bn_forward(pen_lin, pen_layer, bn_mode, c)
     c["pre_relu"] = pen_bn
     penultimate = ops.relu(pen_bn)
     trace["penultimate"] = penultimate
 
-    c = cache["output"] = {}
-    logits = _dense_batch_forward(penultimate, model.layer("output_dense"), c)
+    cache["output"] = {"x": penultimate}
+    logits = ops.dense(penultimate, model.layer("output_dense"))
     return logits, trace, cache
 
 
-def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> _GradStore:
+def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     cfg = model.config
-    grads = _GradStore()
-    grad_pen = _dense_batch_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
+    grads: dict[str, np.ndarray] = {}
+    grad_pen = _dense_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
 
     pen_layer = model.layer("penultimate_dense")
     c = cache["penultimate"]
     grad_bn = ops.relu_backward(c["pre_relu"], grad_pen)
     grad_lin = _bn_backward(pen_layer, c, grad_bn, grads)
-    grad_pooled = _dense_batch_backward(pen_layer, c, grad_lin, grads)
+    grad_pooled = _dense_backward(pen_layer, c, grad_lin, grads)
 
     if cfg.backend == "attention":
         att = model.layer("attention_dense")
@@ -540,8 +508,8 @@ def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> _Gr
         grad_weights = np.einsum("bn,bnt->bt", grad_ctx, stack)
         grad_stack = np.einsum("bt,bn->bnt", weights, grad_ctx)
         grad_scores = ops.softmax_backward(weights, grad_weights, axis=1)
-        grads.add(att.name, "weights", np.einsum("bt,bnt->n", grad_scores, stack)[None, :])
-        grads.add(att.name, "bias", np.atleast_1d(grad_scores.sum()))
+        grads[f"{att.name}.weights"] = np.einsum("bt,bnt->n", grad_scores, stack)[None, :]
+        grads[f"{att.name}.bias"] = np.atleast_1d(grad_scores.sum())
         grad_stack = grad_stack + np.einsum("bt,n->bnt", grad_scores, att.weights[0])
     else:
         stack = cache["pooling"]["stack"]
@@ -604,7 +572,7 @@ def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> _Gr
 def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.ndarray, dict, dict]:
     cfg = model.config
     pad_frames = cfg.vgg_input_frames - cfg.dsp.patch_frames
-    cache: dict = {"pad_frames": pad_frames}
+    cache: dict = {}
     x = np.pad(xs, ((0, 0), (0, 0), (0, pad_frames), (0, 0)))
     trace = {}
     for i, (ph, pw) in enumerate(cfg.vgg_pool_shapes, start=1):
@@ -613,31 +581,24 @@ def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.ndarray
         h = _conv_bn_relu_forward(x, layer, 1, 1, bn_mode, c)
         c["pre_pool"] = h
         c["pool"] = (ph, pw)
-        x = np.stack([ops.pool_max(h[b], ph, pw) for b in range(h.shape[0])])
+        x = ops.pool_max(h, ph, pw)
         trace[f"pool{i}"] = x
     flat = x.reshape(x.shape[0], -1)
     cache["flat_shape"] = x.shape
-    c = cache["output"] = {}
-    logits = _dense_batch_forward(flat, model.layer("output_dense"), c)
+    cache["output"] = {"x": flat}
+    logits = ops.dense(flat, model.layer("output_dense"))
     return logits, trace, cache
 
 
-def _vgg_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> _GradStore:
-    grads = _GradStore()
-    grad_flat = _dense_batch_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
+def _vgg_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    grads: dict[str, np.ndarray] = {}
+    grad_flat = _dense_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
     grad_x = grad_flat.reshape(cache["flat_shape"])
     for i in range(5, 0, -1):
         c = cache[f"block{i}"]
         ph, pw = c["pool"]
-        pre_pool = c["pre_pool"]
-        grad_pool = np.stack(
-            [ops.pool_max_backward(pre_pool[b], ph, pw, grad_x[b]) for b in range(pre_pool.shape[0])]
-        )
+        grad_pool = ops.pool_max_backward(c["pre_pool"], ph, pw, grad_x)
         grad_x = _conv_bn_relu_backward(model.layer(f"block{i}"), c, grad_pool, grads)
-    # strip the frame padding; gradient wrt the padding is discarded
-    pad_frames = cache["pad_frames"]
-    if pad_frames:
-        grad_x = grad_x[:, :, :-pad_frames, :]
     return grads
 
 
@@ -684,11 +645,8 @@ def backward_batch(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[s
     """Gradients of a scalar loss wrt every parameter tensor, given the
     loss gradient at the pre-sigmoid logits. Sums over the batch in example
     index order."""
-    if cache["family"] == "vgg":
-        store = _vgg_backward(model, cache, np.asarray(grad_logits, dtype=model.dtype))
-    else:
-        store = _musicnn_backward(model, cache, np.asarray(grad_logits, dtype=model.dtype))
-    return store.grads
+    backward = _vgg_backward if cache["family"] == "vgg" else _musicnn_backward
+    return backward(model, cache, np.asarray(grad_logits, dtype=model.dtype))
 
 
 def forward(patch: np.ndarray, model: Model) -> dict[str, np.ndarray]:

@@ -2,10 +2,13 @@
 backwards.
 
 Tensors are plain C-contiguous numpy arrays; shape metadata is the ndarray
-shape, data is the flat row-major buffer. Convolution inputs are
-[channels, height, width] single examples; batching is the caller's loop,
-except batch normalization in training mode which is defined over a stacked
-[batch, channels, ...] tensor because its statistics couple the batch.
+shape, data is the flat row-major buffer. Every op takes a whole batch:
+convolution inputs are [..., channels, height, width], dense inputs
+[..., features] and max pooling [..., height, width], with any number of
+leading batch axes (none for a single example); batch normalization takes
+[batch, channels, ...] in both modes. Row b of a batched call is bit for bit
+the call on example b alone, and parameter gradients come back already
+summed over the batch in example index order.
 
 Every forward surfaces NaN/Inf as NumericFaultError: silent non-finite
 values would otherwise poison gradient checks downstream. No op mutates its
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericFaultError, ShapeMismatchError
 
@@ -71,31 +74,49 @@ def _ensure_finite(op: str, *arrays: np.ndarray) -> None:
             raise NumericFaultError(f"{op} produced non-finite values")
 
 
+# --- batching ------------------------------------------------------------------
+
+def _sum_examples(g: np.ndarray, example_ndim: int) -> np.ndarray:
+    """Sum per-example gradients over every leading batch axis.
+
+    A running sum in index order, unlike numpy's pairwise `sum`, so a
+    batched call returns exactly what adding up single-example calls gives.
+    """
+    rows = g.reshape((-1,) + g.shape[g.ndim - example_ndim :])
+    return np.add.accumulate(rows, axis=0)[-1].copy()
+
+
 # --- convolution -----------------------------------------------------------
 
 def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int) -> np.ndarray:
-    xp = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    if k_h > xp.shape[1] or k_w > xp.shape[2]:
-        raise ShapeMismatchError(
-            f"kernel {k_h}x{k_w} larger than padded input {xp.shape[1]}x{xp.shape[2]}"
-        )
-    return sliding_window_view(xp, (k_h, k_w), axis=(1, 2))  # [C, H', W', kH, kW]
+    """Read-only [..., H', W', kH, kW] view of every window of x zero-padded
+    on its last two axes: one buffer for the whole batch, no copy per window."""
+    *lead, h, w = x.shape
+    hp, wp = h + 2 * pad_h, w + 2 * pad_w
+    if k_h > hp or k_w > wp:
+        raise ShapeMismatchError(f"kernel {k_h}x{k_w} larger than padded input {hp}x{wp}")
+    xp = np.zeros((*lead, hp, wp), dtype=x.dtype)
+    xp[..., pad_h : pad_h + h, pad_w : pad_w + w] = x
+    shape = (*lead, hp - k_h + 1, wp - k_w + 1, k_h, k_w)
+    return as_strided(xp, shape, xp.strides + xp.strides[-2:], writeable=False)
 
 
 def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -> np.ndarray:
-    """Valid cross-correlation of a zero-padded [C_in, H, W] input with
+    """Valid cross-correlation of zero-padded [..., C_in, H, W] inputs with
     [C_out, C_in, kH, kW] kernels; per-channel bias added when present."""
     w = params.weights
-    if x.ndim != 3 or w.ndim != 4 or w.shape[1] != x.shape[0]:
+    if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
         raise ShapeMismatchError(
             f"{params.name}: conv input {x.shape} vs weights {w.shape}"
         )
-    win = _conv_windows(x, w.shape[2], w.shape[3], pad_h, pad_w)
-    y = np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
+    win = _conv_windows(x.reshape((-1,) + x.shape[-3:]), w.shape[2], w.shape[3], pad_h, pad_w)
+    # one GEMM per example: tensordot copies the windows into a matrix, the
+    # largest transient of the network, and a batched GEMM's bits vary with B
+    y = np.stack([np.tensordot(w, win_b, axes=([1, 2, 3], [0, 3, 4])) for win_b in win])
     if params.bias is not None:
         y = y + params.bias[:, None, None]
     _ensure_finite("conv2d", y)
-    return y
+    return y.reshape(x.shape[:-3] + y.shape[1:])
 
 
 def conv2d_backward(
@@ -108,33 +129,38 @@ def conv2d_backward(
     """Exact gradients of conv2d: (grad_input, grad_weights, grad_bias)."""
     w = params.weights
     k_h, k_w = w.shape[2], w.shape[3]
-    win = _conv_windows(x, k_h, k_w, pad_h, pad_w)
-    if grad_out.shape != (w.shape[0],) + win.shape[1:3]:
+    xs = x.reshape((-1,) + x.shape[-3:])
+    win = _conv_windows(xs, k_h, k_w, pad_h, pad_w)
+    if grad_out.shape != x.shape[:-3] + (w.shape[0],) + win.shape[2:4]:
         raise ShapeMismatchError(
             f"{params.name}: grad_out {grad_out.shape} inconsistent with forward"
         )
-    grad_w = np.tensordot(grad_out, win, axes=([1, 2], [1, 2]))
-    grad_b = grad_out.sum(axis=(1, 2)) if params.bias is not None else None
-
+    gs = grad_out.reshape(xs.shape[:1] + grad_out.shape[-3:])
     # full correlation of grad_out with the flipped kernel, then crop padding
-    gp = np.pad(grad_out, ((0, 0), (k_h - 1, k_h - 1), (k_w - 1, k_w - 1)))
-    gwin = sliding_window_view(gp, (k_h, k_w), axis=(1, 2))
+    gwin = _conv_windows(gs, k_h, k_w, k_h - 1, k_w - 1)
     w_flip = w[:, :, ::-1, ::-1]
-    grad_xp = np.tensordot(w_flip, gwin, axes=([0, 2, 3], [0, 3, 4]))
-    h, wd = x.shape[1], x.shape[2]
-    grad_x = grad_xp[:, pad_h : pad_h + h, pad_w : pad_w + wd]
+    h, wd = x.shape[-2:]
+    grad_w, grad_x = None, []
+    for b in range(len(xs)):
+        gw = np.tensordot(gs[b], win[b], axes=([1, 2], [1, 2]))
+        grad_w = gw if grad_w is None else grad_w + gw
+        grad_xp = np.tensordot(w_flip, gwin[b], axes=([0, 2, 3], [0, 3, 4]))
+        grad_x.append(grad_xp[:, pad_h : pad_h + h, pad_w : pad_w + wd])
+    grad_x = np.stack(grad_x).reshape(x.shape)
+    grad_b = _sum_examples(grad_out.sum(axis=(-2, -1)), 1) if params.bias is not None else None
     _ensure_finite("conv2d_backward", grad_x, grad_w)
-    return np.ascontiguousarray(grad_x), grad_w, grad_b
+    return grad_x, grad_w, grad_b
 
 
 # --- dense -----------------------------------------------------------------
 
 def dense(x: np.ndarray, params: LayerParams) -> np.ndarray:
-    """Affine map of a vector: weights [M, N] @ x [N] + bias [M]."""
+    """Affine map of [..., N] inputs: weights [M, N] @ x + bias [M]."""
     w = params.weights
-    if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.shape[0]:
+    if x.ndim < 1 or w.ndim != 2 or w.shape[1] != x.shape[-1]:
         raise ShapeMismatchError(f"{params.name}: dense input {x.shape} vs weights {w.shape}")
-    y = w @ x
+    # one matrix-vector product per row; a single GEMM's bits vary with B
+    y = np.matmul(w, x[..., None])[..., 0]
     if params.bias is not None:
         y = y + params.bias
     _ensure_finite("dense", y)
@@ -145,11 +171,11 @@ def dense_backward(
     x: np.ndarray, params: LayerParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     w = params.weights
-    if grad_out.shape != (w.shape[0],):
+    if grad_out.shape != x.shape[:-1] + (w.shape[0],):
         raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} vs weights {w.shape}")
-    grad_w = np.outer(grad_out, x)
-    grad_b = grad_out.copy() if params.bias is not None else None
-    grad_x = w.T @ grad_out
+    grad_w = _sum_examples(grad_out[..., :, None] * x[..., None, :], 2)
+    grad_b = _sum_examples(grad_out, 1) if params.bias is not None else None
+    grad_x = np.matmul(w.T, grad_out[..., None])[..., 0]
     return grad_x, grad_w, grad_b
 
 
@@ -162,12 +188,11 @@ def _bn_shape(param: np.ndarray, ndim: int, channel_axis: int) -> np.ndarray:
 
 
 def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -> np.ndarray:
-    """Normalize with stored running statistics; channel axis is axis 0."""
-    c = x.shape[0]
-    if params.bn_gamma is None or params.bn_gamma.shape[0] != c:
-        raise ShapeMismatchError(f"{params.name}: bn parameters do not match {c} channels")
+    """Normalize a [B, C, ...] batch with the stored running statistics."""
+    if x.ndim < 2 or params.bn_gamma is None or params.bn_gamma.shape[0] != x.shape[1]:
+        raise ShapeMismatchError(f"{params.name}: bn parameters do not match input {x.shape}")
     gamma, beta, mean, var = (
-        _bn_shape(t, x.ndim, 0) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
+        _bn_shape(t, x.ndim, 1) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
     )
     y = (x - mean) / np.sqrt(var + epsilon) * gamma + beta
     _ensure_finite("batchnorm_infer", y)
@@ -183,17 +208,17 @@ def batchnorm_infer_backward(
     get exact gradients too; this is what lets the whole-network gradient
     check cover every stored tensor.
     """
-    axes = tuple(range(1, x.ndim))
-    gamma = _bn_shape(params.bn_gamma, x.ndim, 0)
-    mean = _bn_shape(params.bn_mean, x.ndim, 0)
-    var = _bn_shape(params.bn_var, x.ndim, 0)
+    axes = tuple(range(2, x.ndim))
+    gamma = _bn_shape(params.bn_gamma, x.ndim, 1)
+    mean = _bn_shape(params.bn_mean, x.ndim, 1)
+    var = _bn_shape(params.bn_var, x.ndim, 1)
     inv = 1.0 / np.sqrt(var + epsilon)
     xc = x - mean
     grad_x = grad_out * gamma * inv
-    grad_gamma = (grad_out * xc * inv).sum(axis=axes)
-    grad_beta = grad_out.sum(axis=axes)
-    grad_mean = -(grad_out * gamma * inv).sum(axis=axes)
-    grad_var = (grad_out * xc * gamma * (-0.5) * inv**3).sum(axis=axes)
+    grad_gamma = _sum_examples((grad_out * xc * inv).sum(axis=axes), 1)
+    grad_beta = _sum_examples(grad_out.sum(axis=axes), 1)
+    grad_mean = _sum_examples(-grad_x.sum(axis=axes), 1)
+    grad_var = _sum_examples((grad_out * xc * gamma * (-0.5) * inv**3).sum(axis=axes), 1)
     return grad_x, grad_gamma, grad_beta, grad_mean, grad_var
 
 
@@ -283,31 +308,38 @@ def softmax_backward(y: np.ndarray, grad_out: np.ndarray, axis: int) -> np.ndarr
 # --- pooling ----------------------------------------------------------------
 
 def pool_max(x: np.ndarray, window_h: int, window_w: int) -> np.ndarray:
-    """Non-overlapping max pooling of [C, H, W]; windows must divide extents."""
-    c, h, w = x.shape
+    """Non-overlapping max pooling of [..., H, W]; windows must divide extents."""
+    h, w = x.shape[-2:]
     if h % window_h != 0 or w % window_w != 0:
         raise ShapeMismatchError(
             f"pool window {window_h}x{window_w} does not divide input {h}x{w}"
         )
-    view = x.reshape(c, h // window_h, window_h, w // window_w, window_w)
-    return view.max(axis=(2, 4))
+    # running maxima over strided slices, rows first: exact, and far faster
+    # than a reduction over the window axes of a reshaped view
+    rows = x[..., ::window_h, :]
+    for i in range(1, window_h):
+        rows = np.maximum(rows, x[..., i::window_h, :])
+    y = rows[..., ::window_w]
+    for j in range(1, window_w):
+        y = np.maximum(y, rows[..., j::window_w])
+    return y if window_h * window_w > 1 else y.copy()
 
 
 def pool_max_backward(
     x: np.ndarray, window_h: int, window_w: int, grad_out: np.ndarray
 ) -> np.ndarray:
     """Routes each window's gradient to its first (lowest linear index) max."""
-    c, h, w = x.shape
+    *lead, h, w = x.shape
     ho, wo = h // window_h, w // window_w
-    tiles = x.reshape(c, ho, window_h, wo, window_w).transpose(0, 1, 3, 2, 4)
-    flat = tiles.reshape(c, ho, wo, window_h * window_w)
-    idx = flat.argmax(axis=3)
+    tiles = x.reshape(*lead, ho, window_h, wo, window_w).swapaxes(-3, -2)
+    flat = tiles.reshape(*lead, ho, wo, window_h * window_w)
+    idx = flat.argmax(axis=-1)
     grad_tiles = np.zeros_like(flat)
-    np.put_along_axis(grad_tiles, idx[..., None], grad_out[..., None], axis=3)
+    np.put_along_axis(grad_tiles, idx[..., None], grad_out[..., None], axis=-1)
     return (
-        grad_tiles.reshape(c, ho, wo, window_h, window_w)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(c, h, w)
+        grad_tiles.reshape(*lead, ho, wo, window_h, window_w)
+        .swapaxes(-3, -2)
+        .reshape(x.shape)
     )
 
 

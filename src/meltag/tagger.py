@@ -24,7 +24,7 @@ from .store import MODEL_NAMES, load_model, load_registry_model
 class Taggram:
     """Per-patch tag activations: one row per patch, one column per tag."""
 
-    values: np.ndarray  # [n_patches, n_tags], each cell in (0, 1)
+    values: np.ndarray  # [n_patches, n_tags], each cell in [0, 1]: float32 sigmoid saturates
     tags: tuple[str, ...]
     patch_times: np.ndarray  # start second of each patch
 
@@ -40,14 +40,20 @@ def audio_patches(path, model: Model) -> np.ndarray:
     return np.stack(dsp.patchify(mel))
 
 
-def compute_taggram(path, model: Model) -> Taggram:
-    """Rows ordered by patch start time; row k is forward(patch_k).output."""
+def infer_file(path, model: Model) -> tuple[Taggram, dict[str, np.ndarray]]:
+    """The inference path shared by tag, extract and transfer: the taggram
+    and the forward trace of every patch of a file."""
     cfg = model.config.dsp
     patches = audio_patches(path, model)
     _, trace, _ = network.forward_batch(patches, model, bn_mode="infer")
     seconds_per_patch_hop = cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate
     times = np.arange(len(patches)) * seconds_per_patch_hop
-    return Taggram(values=trace["output"], tags=model.tags, patch_times=times)
+    return Taggram(values=trace["output"], tags=model.tags, patch_times=times), trace
+
+
+def compute_taggram(path, model: Model) -> Taggram:
+    """Rows ordered by patch start time; row k is forward(patch_k).output."""
+    return infer_file(path, model)[0]
 
 
 def top_tags(taggram: Taggram, top_n: int) -> list[tuple[str, float]]:

@@ -239,30 +239,6 @@ class LinearSvmOneVsRest:
         return out[0] if np.asarray(X).ndim == 1 else out
 
 
-# --- functional wrappers over the estimators ---------------------------------
-
-
-def pca_fit(data, k: int) -> PrincipalComponents:
-    return PrincipalComponents(n_components=k).fit(data)
-
-
-def pca_transform(model: PrincipalComponents, x) -> np.ndarray:
-    return model.transform(x)
-
-
-def svm_fit(
-    vectors, labels, reg_strength: float = 1e-3, epochs: int = 200, seed: int = 0
-) -> LinearSvmOneVsRest:
-    return LinearSvmOneVsRest(reg_strength=reg_strength, epochs=epochs, seed=seed).fit(
-        vectors, labels
-    )
-
-
-def svm_predict(model: LinearSvmOneVsRest, x) -> tuple[object, np.ndarray]:
-    scores = model.decision_function(np.atleast_1d(np.asarray(x, dtype=np.float64)))
-    return model.classes_[int(np.argmax(scores))], scores
-
-
 # --- dataset manifest and the end-to-end pipeline ------------------------------
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MeltagError
 
-class NotFittedError(RuntimeError):
+
+class NotFittedError(MeltagError):
     """Estimator method called before fit()."""
 
 

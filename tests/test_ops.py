@@ -149,7 +149,7 @@ class TestDense:
 
 class TestBatchNorm:
     def test_identity_parameters(self):
-        x = np.random.default_rng(8).normal(size=(3, 4, 5))
+        x = np.random.default_rng(8).normal(size=(2, 3, 4, 5))
         params = LayerParams(
             "bn", bn_gamma=np.ones(3), bn_beta=np.zeros(3), bn_mean=np.zeros(3), bn_var=np.ones(3)
         )
@@ -157,7 +157,7 @@ class TestBatchNorm:
 
     def test_infer_matches_direct_formula(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 3))
+        x = rng.normal(size=(3, 2))  # [B, C]
         params = LayerParams(
             "bn",
             bn_gamma=rng.normal(size=2),
@@ -168,9 +168,9 @@ class TestBatchNorm:
         y = ops.batchnorm_infer(x, params, 1e-3)
         for c in range(2):
             for i in range(3):
-                ref = (x[c, i] - params.bn_mean[c]) / np.sqrt(params.bn_var[c] + 1e-3)
+                ref = (x[i, c] - params.bn_mean[c]) / np.sqrt(params.bn_var[c] + 1e-3)
                 ref = ref * params.bn_gamma[c] + params.bn_beta[c]
-                assert abs(y[c, i] - ref) < 1e-12
+                assert abs(y[i, c] - ref) < 1e-12
 
     def test_train_normalizes_the_batch(self):
         rng = np.random.default_rng(10)
@@ -186,7 +186,7 @@ class TestBatchNorm:
 
     def test_infer_backward_covers_all_five_tensors(self):
         rng = np.random.default_rng(11)
-        r = rng.normal(size=(2, 3, 4))
+        r = rng.normal(size=(3, 2, 4))
 
         def f(t):
             params = LayerParams(
@@ -197,7 +197,7 @@ class TestBatchNorm:
             return float((y * r).sum()), {"x": gx, "g": gg, "be": gb, "m": gm, "v": gv}
 
         inputs = {
-            "x": rng.normal(size=(2, 3, 4)),
+            "x": rng.normal(size=(3, 2, 4)),
             "g": rng.normal(size=2),
             "be": rng.normal(size=2),
             "m": rng.normal(size=2),
@@ -428,3 +428,131 @@ class TestLayerParams:
         params = LayerParams("d", weights=np.zeros((2, 2)))
         assert list(params.tensors()) == ["d.weights"]
         assert not params.has_bn()
+
+
+# --- batching contract ---------------------------------------------------------
+#
+# Every op takes a batch. Row b of a batched call must equal the call on
+# example b alone bit for bit, and parameter gradients must equal the
+# per-example gradients added up in index order (a left fold, not numpy's
+# pairwise sum). Cases cover B = 1, several leading batch axes, c_out = 1,
+# 1x1 output maps and more than eight rows of one channel, which is where
+# stacked GEMMs and reductions change bits.
+
+DTYPES = [np.float32, np.float64]
+
+
+def _index_order_sum(parts):
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def _assert_rows_and_sums(batched, singles, lead):
+    """batched: tuple of per-row outputs then summed gradients;
+    singles: the same tuples from one call per example, in index order."""
+    n_rows = int(np.prod(lead))
+    rows, summed = batched
+    for k, out in enumerate(rows):
+        flat = out.reshape((n_rows,) + out.shape[len(lead):])
+        for b in range(n_rows):
+            np.testing.assert_array_equal(flat[b], singles[b][0][k], strict=True)
+    for k, grad in enumerate(summed):
+        np.testing.assert_array_equal(
+            grad, _index_order_sum([s[1][k] for s in singles]), strict=True
+        )
+
+
+CONV_CASES = [
+    # lead, c_in, c_out, h, w, k_h, k_w, pad_h, pad_w
+    ((1,), 2, 3, 5, 4, 3, 2, 1, 0),
+    ((3,), 1, 1, 9, 1, 5, 1, 2, 0),  # c_out = 1 temporal kernel
+    ((2,), 3, 2, 3, 3, 3, 3, 0, 0),  # 1x1 output map
+    ((4,), 2, 3, 6, 6, 3, 3, 1, 1),
+    ((2,), 1, 2, 9, 8, 7, 6, 3, 0),  # tall timbral kernel
+    ((2, 3), 2, 2, 4, 5, 3, 3, 1, 1),
+    ((10,), 1, 1, 5, 1, 3, 1, 1, 0),  # B >= 9 rows of one channel: pairwise sums differ
+]
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_conv2d(self, dtype, case):
+        lead, c_in, c_out, h, w, k_h, k_w, pad_h, pad_w = case
+        rng = np.random.default_rng(20)
+        params = LayerParams(
+            "c",
+            weights=rng.normal(size=(c_out, c_in, k_h, k_w)).astype(dtype),
+            bias=rng.normal(size=c_out).astype(dtype),
+        )
+        x = rng.normal(size=lead + (c_in, h, w)).astype(dtype)
+        y = ops.conv2d(x, params, pad_h, pad_w)
+        grad_out = rng.normal(size=y.shape).astype(dtype)
+        gx, gw, gb = ops.conv2d_backward(x, params, grad_out, pad_h, pad_w)
+        xs = x.reshape((-1, c_in, h, w))
+        gos = grad_out.reshape((-1,) + y.shape[len(lead):])
+        singles = []
+        for b in range(len(xs)):
+            sgx, sgw, sgb = ops.conv2d_backward(xs[b], params, gos[b], pad_h, pad_w)
+            singles.append(((ops.conv2d(xs[b], params, pad_h, pad_w), sgx), (sgw, sgb)))
+        _assert_rows_and_sums(((y, gx), (gw, gb)), singles, lead)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("lead, n, m", [((1,), 5, 3), ((4,), 6, 1), ((3,), 1, 1), ((2, 3), 7, 4), ((12,), 3, 1)])
+    def test_dense(self, dtype, lead, n, m):
+        rng = np.random.default_rng(21)
+        params = LayerParams(
+            "d",
+            weights=rng.normal(size=(m, n)).astype(dtype),
+            bias=rng.normal(size=m).astype(dtype),
+        )
+        x = rng.normal(size=lead + (n,)).astype(dtype)
+        grad_out = rng.normal(size=lead + (m,)).astype(dtype)
+        y = ops.dense(x, params)
+        gx, gw, gb = ops.dense_backward(x, params, grad_out)
+        singles = []
+        for xb, gb_out in zip(x.reshape(-1, n), grad_out.reshape(-1, m)):
+            sgx, sgw, sgb = ops.dense_backward(xb, params, gb_out)
+            singles.append(((ops.dense(xb, params), sgx), (sgw, sgb)))
+        _assert_rows_and_sums(((y, gx), (gw, gb)), singles, lead)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "lead, c, h, w, wh, ww",
+        [((1,), 2, 4, 6, 2, 3), ((3,), 1, 2, 2, 2, 2), ((2,), 3, 6, 4, 1, 1), ((2, 2), 2, 8, 6, 4, 3)],
+    )
+    def test_pool_max(self, dtype, lead, c, h, w, wh, ww):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=lead + (c, h, w)).astype(dtype)
+        y = ops.pool_max(x, wh, ww)
+        grad_out = rng.normal(size=y.shape).astype(dtype)
+        gx = ops.pool_max_backward(x, wh, ww, grad_out)
+        singles = [
+            ((ops.pool_max(xb, wh, ww), ops.pool_max_backward(xb, wh, ww, gb)), ())
+            for xb, gb in zip(x.reshape(-1, c, h, w), grad_out.reshape((-1,) + y.shape[-3:]))
+        ]
+        _assert_rows_and_sums(((y, gx), ()), singles, lead)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 3), (3, 1, 4, 3), (4, 3), (2, 3, 1, 1), (5, 2, 6), (12, 1, 4)])
+    def test_batchnorm_infer(self, dtype, shape):
+        rng = np.random.default_rng(23)
+        c = shape[1]
+        params = LayerParams(
+            "bn",
+            bn_gamma=rng.normal(size=c).astype(dtype),
+            bn_beta=rng.normal(size=c).astype(dtype),
+            bn_mean=rng.normal(size=c).astype(dtype),
+            bn_var=rng.uniform(0.5, 2.0, c).astype(dtype),
+        )
+        x = rng.normal(size=shape).astype(dtype)
+        grad_out = rng.normal(size=shape).astype(dtype)
+        y = ops.batchnorm_infer(x, params)
+        gx, *param_grads = ops.batchnorm_infer_backward(x, params, grad_out)
+        singles = []
+        for b in range(shape[0]):
+            sgx, *sgrads = ops.batchnorm_infer_backward(x[b : b + 1], params, grad_out[b : b + 1])
+            singles.append(((ops.batchnorm_infer(x[b : b + 1], params)[0], sgx[0]), sgrads))
+        _assert_rows_and_sums(((y, gx), param_grads), singles, shape[:1])

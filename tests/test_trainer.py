@@ -6,6 +6,7 @@ import pytest
 from meltag import cli, network, ops, trainer
 from meltag.errors import ConfigInvalidError, NumericFaultError
 from meltag.network import build_model, forward_batch
+from meltag.rng import SplitMix64
 from meltag.store import load_model
 from meltag.trainer import (
     AdamState,
@@ -170,7 +171,15 @@ class TestFit:
         x, y = _toy_data(cfg, 4, seed=2)
         config = TrainConfig(learning_rate=0.0, batch_size=4, epochs=3)
         log = fit(model, x, y, config)
-        assert log.epoch_losses[0] == log.epoch_losses[1] == log.epoch_losses[2]
+        # train-mode batch norm sums over the batch in its shuffled order, so
+        # losses of different epochs may differ in the last bits; each must
+        # equal a fresh forward of the untouched weights over that epoch's order
+        orders = SplitMix64(config.seed)
+        fresh = build_model(cfg, seed=1, mode="float64")
+        for epoch_loss in log.epoch_losses:
+            order = orders.shuffled(len(x))
+            _, trace, _ = forward_batch(x[order], fresh, bn_mode="train")
+            assert epoch_loss == bce_loss(trace["output"], y[order])[0]
         for key, t in model.tensors().items():
             if key.endswith((".bn_mean", ".bn_var")):
                 continue  # running statistics move regardless of the optimizer

@@ -6,6 +6,7 @@ import pytest
 from meltag import cli
 from meltag.errors import (
     ConfigInvalidError,
+    MeltagError,
     ShapeMismatchError,
     SingleClassError,
 )
@@ -17,11 +18,7 @@ from meltag.transfer import (
     ManifestRow,
     PrincipalComponents,
     load_manifest,
-    pca_fit,
-    pca_transform,
     run_pipeline,
-    svm_fit,
-    svm_predict,
 )
 from meltag.validation import NotFittedError
 
@@ -137,6 +134,7 @@ class TestPrincipalComponents:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             PrincipalComponents().transform(np.zeros((2, 2)))
+        assert issubclass(NotFittedError, MeltagError)  # the CLIs report MeltagError
 
     def test_bad_sample_or_component_counts(self):
         with pytest.raises(ValueError):
@@ -152,12 +150,6 @@ class TestPrincipalComponents:
         assert pca.set_params(n_components=2).n_components == 2
         with pytest.raises(ValueError):
             pca.set_params(whiten=True)
-
-    def test_functional_wrappers(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(10, 3))
-        model = pca_fit(x, 2)
-        np.testing.assert_array_equal(pca_transform(model, x), model.transform(x))
 
 
 class TestLinearSvm:
@@ -232,16 +224,6 @@ class TestLinearSvm:
         svm = LinearSvmOneVsRest(epochs=200).fit(x, y)
         assert set(svm.predict(x)) == {"ambient", "metal"}
         assert (svm.predict(x) == y).all()
-
-    def test_svm_predict_wrapper_matches_argmax(self):
-        rng = np.random.default_rng(7)
-        x, y = _blobs(rng, [(-2.0, 1.0), (2.0, 1.0), (0.0, -2.0)], 12)
-        svm = svm_fit(x, y, epochs=150)
-        for vec in rng.normal(size=(20, 2)):
-            label, scores = svm_predict(svm, vec)
-            assert scores.shape == (3,)
-            assert label == svm.classes_[int(np.argmax(scores))]
-            assert label == svm.predict(vec)
 
     def test_get_set_params(self):
         svm = LinearSvmOneVsRest(reg_strength=0.5, epochs=9, seed=3)
