@@ -106,12 +106,10 @@ def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -
     [C_out, C_in, kH, kW] kernels; per-channel bias added when present."""
     w = params.weights
     if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
-        raise ShapeMismatchError(
-            f"{params.name}: conv input {x.shape} vs weights {w.shape}"
-        )
+        raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
     win = _conv_windows(x.reshape((-1,) + x.shape[-3:]), w.shape[2], w.shape[3], pad_h, pad_w)
-    # one GEMM per example: tensordot copies the windows into a matrix, the
-    # largest transient of the network, and a batched GEMM's bits vary with B
+    # one GEMM per example, because a batched GEMM's bits vary with B;
+    # tensordot copies each example's windows into a C_in*kH*kW x H'*W' matrix
     y = np.stack([np.tensordot(w, win_b, axes=([1, 2, 3], [0, 3, 4])) for win_b in win])
     if params.bias is not None:
         y = y + params.bias[:, None, None]
@@ -126,9 +124,12 @@ def conv2d_backward(
     pad_h: int = 0,
     pad_w: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Exact gradients of conv2d: (grad_input, grad_weights, grad_bias)."""
+    """Exact gradients of conv2d: (grad_input, grad_weights, grad_bias).
+    grad_input is the transposed convolution: a GEMM over C_out, then a scatter-add."""
     w = params.weights
-    k_h, k_w = w.shape[2], w.shape[3]
+    if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
+        raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
+    c_in, k_h, k_w = w.shape[1:]
     xs = x.reshape((-1,) + x.shape[-3:])
     win = _conv_windows(xs, k_h, k_w, pad_h, pad_w)
     if grad_out.shape != x.shape[:-3] + (w.shape[0],) + win.shape[2:4]:
@@ -136,17 +137,24 @@ def conv2d_backward(
             f"{params.name}: grad_out {grad_out.shape} inconsistent with forward"
         )
     gs = grad_out.reshape(xs.shape[:1] + grad_out.shape[-3:])
-    # full correlation of grad_out with the flipped kernel, then crop padding
-    gwin = _conv_windows(gs, k_h, k_w, k_h - 1, k_w - 1)
-    w_flip = w[:, :, ::-1, ::-1]
-    h, wd = x.shape[-2:]
-    grad_w, grad_x = None, []
+    (h, wd), (ho, wo) = x.shape[-2:], win.shape[2:4]
+    # tap (i, j) of output (p, q) adds onto padded input (p + i, q + j). That is
+    # symmetric, so on each axis z gives the shorter of taps and outputs an axis
+    # of its own and lays the longer along the input through a strided view
+    # that maps no two elements to one; summing those axes does the scatter-add
+    z = np.zeros((len(xs), c_in, min(k_h, ho), min(k_w, wo), h + 2 * pad_h, wd + 2 * pad_w),
+                 dtype=np.result_type(w, gs))
+    st = z.strides
+    zv = as_strided(z, z.shape[:4] + (max(k_h, ho), max(k_w, wo)),
+                    st[:2] + (st[2] + st[4], st[3] + st[5]) + st[4:])
+    grad_w = None
     for b in range(len(xs)):
         gw = np.tensordot(gs[b], win[b], axes=([1, 2], [1, 2]))
         grad_w = gw if grad_w is None else grad_w + gw
-        grad_xp = np.tensordot(w_flip, gwin[b], axes=([0, 2, 3], [0, 3, 4]))
-        grad_x.append(grad_xp[:, pad_h : pad_h + h, pad_w : pad_w + wd])
-    grad_x = np.stack(grad_x).reshape(x.shape)
+        cols = np.tensordot(w, gs[b], axes=([0], [0]))  # [C_in, kH, kW, H', W']
+        cols = cols.swapaxes(1, 3) if k_h > ho else cols
+        zv[b] = cols.swapaxes(2, 4) if k_w > wo else cols
+    grad_x = z.sum(axis=(2, 3))[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
     grad_b = _sum_examples(grad_out.sum(axis=(-2, -1)), 1) if params.bias is not None else None
     _ensure_finite("conv2d_backward", grad_x, grad_w)
     return grad_x, grad_w, grad_b
@@ -171,6 +179,8 @@ def dense_backward(
     x: np.ndarray, params: LayerParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     w = params.weights
+    if x.ndim < 1 or w.ndim != 2 or w.shape[1] != x.shape[-1]:
+        raise ShapeMismatchError(f"{params.name}: dense input {x.shape} vs weights {w.shape}")
     if grad_out.shape != x.shape[:-1] + (w.shape[0],):
         raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} vs weights {w.shape}")
     grad_w = _sum_examples(grad_out[..., :, None] * x[..., None, :], 2)
@@ -208,6 +218,10 @@ def batchnorm_infer_backward(
     get exact gradients too; this is what lets the whole-network gradient
     check cover every stored tensor.
     """
+    if x.ndim < 2 or params.bn_gamma is None or params.bn_gamma.shape[0] != x.shape[1]:
+        raise ShapeMismatchError(f"{params.name}: bn parameters do not match input {x.shape}")
+    if grad_out.shape != x.shape:
+        raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} vs input {x.shape}")
     axes = tuple(range(2, x.ndim))
     gamma = _bn_shape(params.bn_gamma, x.ndim, 1)
     mean = _bn_shape(params.bn_mean, x.ndim, 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
+from . import network, ops
 from .dsp import DspConfig
 from .errors import ConfigInvalidError, MeltagError, NumericFaultError
 from .network import Model, ModelConfig
@@ -151,8 +151,9 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, trace, cache = network.forward_batch(x[idx], model, bn_mode="train")
-            loss, grad_logits = bce_loss(trace["output"], y[idx])
+            logits, _, cache = network.forward_batch(x[idx], model, bn_mode="train")
+            # sigmoid in float64, as the loss: float32 rounds to 1.0 from logit 16.6 on
+            loss, grad_logits = bce_loss(ops.sigmoid(logits.astype(np.float64)), y[idx])
             grads = network.backward_batch(model, cache, grad_logits)
             params = model.tensors()
             model.set_tensors(adam_step(params, grads, state, config))

@@ -4,6 +4,8 @@ Every oracle here is written the dumb way on purpose: explicit nested loops
 or textbook formulas, no shared code with the implementations under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,31 @@ def conv_oracle(x, w, b, pad_h, pad_w):
                             acc += w[co, ci, u, v] * xp[ci, i + u, j + v]
                 y[co, i, j] = acc + (b[co] if b is not None else 0.0)
     return y
+
+
+def conv_grad_x_oracle(w, grad_out, h, wd, pad_h, pad_w):
+    """Scatter each output's gradient back through every kernel tap."""
+    c_out, c_in, k_h, k_w = w.shape
+    gxp = np.zeros((c_in, h + 2 * pad_h, wd + 2 * pad_w))
+    for co in range(c_out):
+        for i in range(grad_out.shape[1]):
+            for j in range(grad_out.shape[2]):
+                for ci in range(c_in):
+                    for u in range(k_h):
+                        for v in range(k_w):
+                            gxp[ci, i + u, j + v] += w[co, ci, u, v] * grad_out[co, i, j]
+    return gxp[:, pad_h : pad_h + h, pad_w : pad_w + wd]
+
+
+# c_in, c_out, h, w, k_h, k_w, pad_h, pad_w: on each axis the input-gradient
+# scatter keeps the shorter of kernel and output map as an axis of its own,
+# so one row per orientation
+BACKWARD_SHAPES = [
+    (2, 3, 5, 4, 3, 2, 1, 0),  # kernel shorter on both axes
+    (2, 2, 4, 6, 5, 2, 2, 0),  # kernel taller than the output map
+    (3, 2, 6, 2, 3, 4, 1, 1),  # kernel wider than the output map
+    (2, 3, 2, 2, 3, 3, 1, 1),  # kernel taller and wider
+]
 
 
 class TestConv2d:
@@ -111,6 +138,66 @@ class TestConv2d:
         report = ops.grad_check(f, {"x": x, "w": w, "b": b}, tolerance=1e-6)
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("shape", BACKWARD_SHAPES)
+    def test_backward_matches_finite_differences_in_every_orientation(self, shape):
+        c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w = shape
+        rng = np.random.default_rng(24)
+        inputs = {
+            "x": rng.normal(size=(2, c_in, h, wd)),
+            "w": rng.normal(size=(c_out, c_in, k_h, k_w)),
+            "b": rng.normal(size=c_out),
+        }
+        r = rng.normal(size=(2, c_out, h + 2 * pad_h - k_h + 1, wd + 2 * pad_w - k_w + 1))
+
+        def f(t):
+            params = LayerParams("c", weights=t["w"], bias=t["b"])
+            y = ops.conv2d(t["x"], params, pad_h, pad_w)
+            gx, gw, gb = ops.conv2d_backward(t["x"], params, r, pad_h, pad_w)
+            return float((y * r).sum()), {"x": gx, "w": gw, "b": gb}
+
+        report = ops.grad_check(f, inputs, tolerance=1e-6)
+        assert report.passed, str(report)
+
+    def test_backward_grad_x_against_scatter_oracle(self):
+        rng = np.random.default_rng(25)
+        shapes = list(BACKWARD_SHAPES)
+        for _ in range(8):
+            h, wd = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            k_h, k_w = int(rng.integers(1, h + 3)), int(rng.integers(1, wd + 3))
+            shapes.append((int(rng.integers(1, 4)), int(rng.integers(1, 4)), h, wd, k_h, k_w, 1, 1))
+        for c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w in shapes:
+            x = rng.normal(size=(c_in, h, wd))
+            w = rng.normal(size=(c_out, c_in, k_h, k_w))
+            grad_out = rng.normal(size=(c_out, h + 2 * pad_h - k_h + 1, wd + 2 * pad_w - k_w + 1))
+            gx, _, _ = ops.conv2d_backward(x, LayerParams("c", weights=w), grad_out, pad_h, pad_w)
+            ref = conv_grad_x_oracle(w, grad_out, h, wd, pad_h, pad_w)
+            np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12)
+
+    def test_backward_memory_at_registry_timbral_shapes(self):
+        # MTT_musicnn timbral_0: a 7 x 86 kernel over 96 mel bins leaves an
+        # output map 11 bins wide, so copying every window of grad_out padded
+        # by k - 1 would take about 2.2 GB, nearly all of it zeros
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(1, 1, 187, 96)).astype(np.float32)
+        params = LayerParams(
+            "timbral_0",
+            weights=rng.normal(size=(51, 1, 7, 86)).astype(np.float32),
+            bias=np.zeros(51, dtype=np.float32),
+        )
+        grad_out = rng.normal(size=(1, 51, 187, 11)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ops.conv2d_backward(x, params, grad_out, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"conv2d_backward peaked at {peak / 2**20:.0f} MB"
+
+    def test_backward_channel_mismatch(self):
+        params = LayerParams("timbral_0", weights=np.zeros((1, 3, 2, 2)))
+        with pytest.raises(ShapeMismatchError, match="^timbral_0:"):
+            ops.conv2d_backward(np.zeros((2, 4, 4)), params, np.zeros((1, 3, 3)))
+
 
 class TestDense:
     def test_identity(self):
@@ -145,6 +232,11 @@ class TestDense:
         inputs = {"x": rng.normal(size=5), "w": rng.normal(size=(3, 5)), "b": rng.normal(size=3)}
         report = ops.grad_check(f, inputs, tolerance=1e-6)
         assert report.passed, str(report)
+
+    def test_backward_input_width_mismatch(self):
+        params = LayerParams("penultimate_dense", weights=np.zeros((3, 5)))
+        with pytest.raises(ShapeMismatchError, match="^penultimate_dense:"):
+            ops.dense_backward(np.zeros(4), params, np.zeros(3))
 
 
 class TestBatchNorm:
@@ -225,6 +317,15 @@ class TestBatchNorm:
         inputs = {"x": rng.normal(size=(4, 2, 3)), "g": rng.normal(size=2), "be": rng.normal(size=2)}
         report = ops.grad_check(f, inputs, tolerance=1e-5)
         assert report.passed, str(report)
+
+    def test_infer_backward_channel_mismatch(self):
+        params = LayerParams(
+            "input_bn", bn_gamma=np.ones(2), bn_beta=np.zeros(2), bn_mean=np.zeros(2), bn_var=np.ones(2)
+        )
+        with pytest.raises(ShapeMismatchError, match="^input_bn:"):
+            ops.batchnorm_infer_backward(np.zeros((4, 3, 5)), params, np.zeros((4, 3, 5)))
+        with pytest.raises(ShapeMismatchError, match="^input_bn:"):  # would broadcast
+            ops.batchnorm_infer_backward(np.zeros((4, 2, 5)), params, np.zeros((4, 2, 1)))
 
     def test_partial_bn_set_rejected(self):
         params = LayerParams("bn", bn_gamma=np.ones(2), bn_beta=np.zeros(2))
@@ -473,6 +574,8 @@ CONV_CASES = [
     ((2,), 1, 2, 9, 8, 7, 6, 3, 0),  # tall timbral kernel
     ((2, 3), 2, 2, 4, 5, 3, 3, 1, 1),
     ((10,), 1, 1, 5, 1, 3, 1, 1, 0),  # B >= 9 rows of one channel: pairwise sums differ
+    ((3,), 2, 2, 4, 6, 5, 2, 2, 0),  # kernel taller than the output map
+    ((3,), 2, 3, 2, 2, 3, 3, 1, 1),  # kernel taller and wider than the output map
 ]
 
 

@@ -185,6 +185,16 @@ class TestFit:
                 continue  # running statistics move regardless of the optimizer
             np.testing.assert_array_equal(t, before[key])
 
+    def test_float32_fit_continues_past_the_float32_sigmoid_rounding_point(self):
+        cfg = tiny_musicnn()
+        model = build_model(cfg, seed=0, mode="float32")
+        model.set_tensors({"output_dense.bias": np.full(cfg.n_tags, 25.0, dtype=np.float32)})
+        x, y = _toy_data(cfg, 2)
+        logits, trace, _ = forward_batch(x, model, bn_mode="train")
+        assert (logits > 17.0).all() and (trace["output"] == 1.0).all()
+        log = fit(model, x, y, TrainConfig(batch_size=2, epochs=1, mode="float32"))
+        assert np.isfinite(log.epoch_losses).all()
+
     def test_same_seed_reproduces_the_run_bit_for_bit(self):
         cfg = tiny_musicnn()
         x, y = _toy_data(cfg, 6, seed=3)
