@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -200,8 +201,9 @@ def mel_center_frequencies(cfg: DspConfig) -> np.ndarray:
     return _mel_grid(cfg)[1:-1]
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(cfg: DspConfig) -> np.ndarray:
-    """n_mels x (fft_size/2 + 1) matrix of unnormalized triangular filters.
+    """Cached, read-only n_mels x (fft_size/2 + 1) matrix of unnormalized filters.
 
     Filter i rises from grid point i to a peak of 1 at point i+1 and falls
     to zero at point i+2; rows are the triangles evaluated at the FFT bin
@@ -222,6 +224,7 @@ def mel_filterbank(cfg: DspConfig) -> np.ndarray:
             f"mel filter(s) {empty.tolist()} have no FFT-bin support; "
             f"adjacent centers collapse into one bin gap"
         )
+    bank.flags.writeable = False
     return bank
 
 

@@ -14,11 +14,17 @@ in either batch-norm mode:
     reproduce single-patch inference exactly.
   - "train": statistics of the current batch (examples couple through them).
 
+In infer mode a block that ends in a max pool (timbral, vgg) pools the conv
+output before bn and relu. Per channel these form a monotone map, also in
+floating point: non-decreasing where gamma >= 0 (max-pool), non-increasing
+where gamma < 0 (min-pool). Train-mode batch statistics need the full map.
+
 `backward_batch` mirrors it and returns one gradient array per parameter
 tensor. The ops already sum each gradient over the batch in example index
-order, so this module only routes gradients between layers. In inference
-mode the running bn statistics receive exact gradients too, which lets the
-whole-network gradient check cover every stored tensor.
+order, so this module only routes gradients between layers. After an infer
+forward it rebuilds the full relu maps from the cached conv outputs. In
+inference mode the running bn statistics receive exact gradients too, which
+lets the whole-network gradient check cover every stored tensor.
 """
 
 from __future__ import annotations
@@ -372,20 +378,36 @@ def _bn_backward(
 
 
 def _conv_bn_relu_forward(
-    xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict
+    xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict, pool=None
 ) -> np.ndarray:
-    """conv -> bn -> relu over a stacked batch; caches what backward needs."""
-    conv = ops.conv2d(xs, layer, pad_h, pad_w)
+    """conv -> bn -> relu [-> pool] over a stacked batch; caches what backward needs."""
+    y = ops.conv2d(xs, layer, pad_h, pad_w)
     cache.update(x=xs, pad=(pad_h, pad_w))
-    bn = _bn_forward(conv, layer, bn_mode, cache)
-    cache["pre_relu"] = bn
-    return ops.relu(bn)
+    if pool is None or bn_mode == "train":
+        h = _bn_forward(y, layer, bn_mode, cache)
+        cache["relu_out"] = ops.relu(h, out=h)
+        return h if pool is None else pool(h)
+    cache["bn_input"] = y
+    pooled = pool(y)
+    neg = layer.bn_gamma < 0
+    if neg.any():  # bn decreases on these channels, so their max comes from min(y)
+        pooled = np.where(neg.reshape((-1,) + (1,) * (pooled.ndim - 2)), -pool(-y), pooled)
+    h = ops.batchnorm_infer(pooled, layer, BN_EPSILON)
+    return ops.relu(h, out=h)
+
+
+def _relu_out(layer: LayerParams, cache: dict) -> np.ndarray:
+    """The block's full relu map, rebuilt after an infer forward pooled first."""
+    if "relu_out" not in cache:
+        h = cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer, BN_EPSILON)
+        ops.relu(h, out=h)
+    return cache["relu_out"]
 
 
 def _conv_bn_relu_backward(
     layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
 ) -> np.ndarray:
-    grad_bn = ops.relu_backward(cache["pre_relu"], grad_out)
+    grad_bn = ops.relu_backward(_relu_out(layer, cache), grad_out)
     grad_conv = _bn_backward(layer, cache, grad_bn, grads)
     grad_x, gw, gb = ops.conv2d_backward(cache["x"], layer, grad_conv, *cache["pad"])
     _store(grads, layer, weights=gw, bias=gb)
@@ -417,9 +439,8 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.nda
     for i, frac in enumerate(cfg.timbral_filter_heights):
         layer = model.layer(f"timbral_{i}")
         c = cache[f"timbral_{i}"] = {}
-        h = _conv_bn_relu_forward(x, layer, 3, 0, bn_mode, c)
-        c["pre_pool"] = h
-        timbral_parts.append(ops.pool_max_over_axis(h, axis=3))  # [B, C, T]
+        h = _conv_bn_relu_forward(x, layer, 3, 0, bn_mode, c, lambda z: ops.pool_max_over_axis(z, 3))
+        timbral_parts.append(h)  # [B, C, T]
     timbral = np.concatenate(timbral_parts, axis=1)
 
     # temporal: mean over frequency first, so the horizontal kernels see an
@@ -545,8 +566,9 @@ def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dic
         c = cache[f"timbral_{i}"]
         part = grad_timbral[:, offset : offset + cfg.timbral_channels]
         offset += cfg.timbral_channels
-        grad_pool = ops.pool_max_over_axis_backward(c["pre_pool"], 3, part)
-        gx = _conv_bn_relu_backward(model.layer(f"timbral_{i}"), c, grad_pool, grads)
+        layer = model.layer(f"timbral_{i}")
+        grad_pool = ops.pool_max_over_axis_backward(_relu_out(layer, c), 3, part)
+        gx = _conv_bn_relu_backward(layer, c, grad_pool, grads)
         grad_x = gx if grad_x is None else grad_x + gx
 
     grad_env = None
@@ -577,11 +599,8 @@ def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.ndarray
     trace = {}
     for i, (ph, pw) in enumerate(cfg.vgg_pool_shapes, start=1):
         layer = model.layer(f"block{i}")
-        c = cache[f"block{i}"] = {}
-        h = _conv_bn_relu_forward(x, layer, 1, 1, bn_mode, c)
-        c["pre_pool"] = h
-        c["pool"] = (ph, pw)
-        x = ops.pool_max(h, ph, pw)
+        c = cache[f"block{i}"] = {"pool": (ph, pw)}
+        x = _conv_bn_relu_forward(x, layer, 1, 1, bn_mode, c, lambda z: ops.pool_max(z, ph, pw))
         trace[f"pool{i}"] = x
     flat = x.reshape(x.shape[0], -1)
     cache["flat_shape"] = x.shape
@@ -595,10 +614,9 @@ def _vgg_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[st
     grad_flat = _dense_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
     grad_x = grad_flat.reshape(cache["flat_shape"])
     for i in range(5, 0, -1):
-        c = cache[f"block{i}"]
-        ph, pw = c["pool"]
-        grad_pool = ops.pool_max_backward(c["pre_pool"], ph, pw, grad_x)
-        grad_x = _conv_bn_relu_backward(model.layer(f"block{i}"), c, grad_pool, grads)
+        layer, c = model.layer(f"block{i}"), cache[f"block{i}"]
+        grad_pool = ops.pool_max_backward(_relu_out(layer, c), *c["pool"], grad_x)
+        grad_x = _conv_bn_relu_backward(layer, c, grad_pool, grads)
     return grads
 
 

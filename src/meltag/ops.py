@@ -12,11 +12,12 @@ summed over the batch in example index order.
 
 Every forward surfaces NaN/Inf as NumericFaultError: silent non-finite
 values would otherwise poison gradient checks downstream. No op mutates its
-inputs, so read-only tensors may be shared across threads.
+inputs (bar relu's `out`), so read-only tensors may be shared across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -69,8 +70,9 @@ def layer_params_fields() -> tuple[str, ...]:
 
 
 def _ensure_finite(op: str, *arrays: np.ndarray) -> None:
+    # NaN propagates through max, and ±inf is the max or the min: no bool array
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
             raise NumericFaultError(f"{op} produced non-finite values")
 
 
@@ -108,11 +110,14 @@ def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -
     if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
         raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
     win = _conv_windows(x.reshape((-1,) + x.shape[-3:]), w.shape[2], w.shape[3], pad_h, pad_w)
-    # one GEMM per example, because a batched GEMM's bits vary with B;
-    # tensordot copies each example's windows into a C_in*kH*kW x H'*W' matrix
-    y = np.stack([np.tensordot(w, win_b, axes=([1, 2, 3], [0, 3, 4])) for win_b in win])
+    wm = w.reshape(len(w), -1)
+    y = np.empty((len(win), len(w)) + win.shape[2:4], dtype=np.result_type(w, win))
+    # one GEMM per example (a batched GEMM's bits vary with B): tensordot's `dot`, into one
+    # output buffer. The unnamed C_in*kH*kW x H'*W' window copy is freed before the next
+    for win_b, y_b in zip(win, y.reshape(len(win), len(w), -1)):
+        np.dot(wm, win_b.transpose(0, 3, 4, 1, 2).reshape(wm.shape[1], -1), out=y_b)
     if params.bias is not None:
-        y = y + params.bias[:, None, None]
+        y += params.bias[:, None, None]
     _ensure_finite("conv2d", y)
     return y.reshape(x.shape[:-3] + y.shape[1:])
 
@@ -204,7 +209,10 @@ def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -
     gamma, beta, mean, var = (
         _bn_shape(t, x.ndim, 1) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
     )
-    y = (x - mean) / np.sqrt(var + epsilon) * gamma + beta
+    y = x - mean
+    y /= np.sqrt(var + epsilon)
+    y *= gamma
+    y += beta
     _ensure_finite("batchnorm_infer", y)
     return y
 
@@ -276,11 +284,12 @@ def batchnorm_train_backward(
 
 # --- activations ------------------------------------------------------------
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out where x > 0; x may be the pre-activation or relu's output."""
     return grad_out * (x > 0)
 
 

@@ -208,8 +208,18 @@ class TestMelFilterbank:
 
     def test_degenerate_band_reported(self):
         cfg = DspConfig(sample_rate=16000, fft_size=32, hop_size=16, n_mels=40)
-        with pytest.raises(DegenerateBandError):
-            dsp.mel_filterbank(cfg)
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(DegenerateBandError):
+                dsp.mel_filterbank(cfg)
+            with pytest.raises(DegenerateBandError):
+                dsp.log_mel(Waveform(samples=np.zeros(64), sample_rate=16000), cfg)
+
+    def test_bank_is_shared_per_config_and_read_only(self):
+        bank = dsp.mel_filterbank(DspConfig(n_mels=12))
+        assert dsp.mel_filterbank(DspConfig(n_mels=12)) is bank
+        assert dsp.mel_filterbank(DspConfig(n_mels=13)) is not bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 2.0
 
 
 class TestLogMel:

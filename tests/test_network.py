@@ -1,9 +1,11 @@
 """Architecture graphs: shape algebra, trace contracts, and exact gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meltag import network, ops
+from meltag import network, ops, store
 from meltag.errors import ConfigInvalidError, ShapeMismatchError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
@@ -375,15 +377,33 @@ def _train_dead_keys(model):
     return dead
 
 
-def _network_grad_check(cfg, bn_mode, tolerance=1e-5):
+def _random_bn(model, seed):
+    """Every bn layer gets random beta, mean and var and a gamma of mixed
+    sign, so infer-mode pooling needs both its max and its min branch."""
+    rng = np.random.default_rng(seed)
+    values = {}
+    for key, t in model.tensors().items():
+        if key.endswith(".bn_gamma"):
+            values[key] = rng.choice([-1.0, 1.0], t.shape) * rng.uniform(0.5, 1.5, t.shape)
+        elif key.endswith((".bn_beta", ".bn_mean")):
+            values[key] = rng.normal(scale=0.5, size=t.shape)
+        elif key.endswith(".bn_var"):
+            values[key] = rng.uniform(0.5, 2.0, t.shape)
+    model.set_tensors(values)
+
+
+def _network_grad_check(cfg, bn_mode, tolerance=1e-5, bn_seed=None):
     """Finite-difference check of backward_batch through the whole graph.
 
     Running statistics participate as differentiable inputs in infer mode;
     in train mode they are unused, so they are held out of the check, as are
     the structurally dead parameters whose ~0/~0 entries would only measure
-    noise against the relative-error floor.
+    noise against the relative-error floor. bn_seed swaps the identity bn
+    tensors for _random_bn's.
     """
     model = build_model(cfg, seed=21, mode="float64")
+    if bn_seed is not None:
+        _random_bn(model, bn_seed)
     batch = np.stack([_patch(cfg, s) for s in range(2)])
     rng = np.random.default_rng(0)
     r = rng.normal(size=(2, cfg.n_tags))
@@ -429,6 +449,13 @@ class TestGradients:
         report = _network_grad_check(tiny_vgg(), "infer")
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("cfg", [tiny_musicnn(), tiny_vgg()], ids=["musicnn", "vgg"])
+    def test_infer_gradients_with_negative_gammas(self, cfg):
+        # infer mode pools first and takes a min-pool where gamma < 0;
+        # backward rebuilds the full relu maps to route through the pools
+        report = _network_grad_check(cfg, "infer", bn_seed=5)
+        assert report.passed, str(report)
+
     def test_train_mode_gradients(self):
         # batch statistics couple the examples, and elements gated off by
         # relu read as noise against the rel-error floor; the norm backward
@@ -459,3 +486,54 @@ class TestGradients:
         logits, _, cache = forward_batch(_patch(cfg), model)
         grads = network.backward_batch(model, cache, np.ones_like(logits))
         assert set(grads) == set(model.tensors())
+
+
+# x shape, kernel shape, padding, pool: the timbral max over frequency and
+# two vgg max-pool windows
+POOLED_BLOCKS = {
+    "timbral": ((3, 1, 8, 10), (5, 1, 7, 4), (3, 0), lambda z: ops.pool_max_over_axis(z, 3)),
+    "vgg_2x2": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), lambda z: ops.pool_max(z, 2, 2)),
+    "vgg_6x3": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), lambda z: ops.pool_max(z, 6, 3)),
+}
+
+
+class TestPoolFirst:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", sorted(POOLED_BLOCKS))
+    def test_infer_block_equals_conv_bn_relu_pool_bit_for_bit(self, block, dtype):
+        x_shape, w_shape, pad, pool = POOLED_BLOCKS[block]
+        rng = np.random.default_rng(31)
+        c = w_shape[0]
+        layer = ops.LayerParams(
+            "block",
+            weights=rng.normal(size=w_shape).astype(dtype),
+            bias=rng.normal(size=c).astype(dtype),
+            bn_gamma=np.array([1.3, -0.7, 0.0, 2.1, -1.9], dtype=dtype),
+            bn_beta=rng.normal(size=c).astype(dtype),
+            bn_mean=rng.normal(size=c).astype(dtype),
+            bn_var=rng.uniform(0.2, 2.0, c).astype(dtype),
+        )
+        x = rng.normal(size=x_shape).astype(dtype)
+        full = ops.batchnorm_infer(ops.conv2d(x, layer, *pad), layer, network.BN_EPSILON)
+        want = pool(ops.relu(full))
+        got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {}, pool)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestInferMemory:
+    @pytest.mark.parametrize("name, limit_mib", [("MTT_vgg", 160), ("MTT_musicnn", 120)])
+    def test_forward_peak_of_20_patches(self, name, limit_mib):
+        """Pooled blocks run bn and relu on the pooled map only, so the conv
+        output is the one full-size map each of them allocates."""
+        model = store.load_registry_model(name)
+        cfg = model.config.dsp
+        rng = np.random.default_rng(0)
+        batch = rng.normal(size=(20, 1, cfg.patch_frames, cfg.n_mels)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            forward_batch(batch, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, f"{name} forward peaked at {peak / 2**20:.0f} MiB"

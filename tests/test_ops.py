@@ -344,9 +344,33 @@ class TestBatchNorm:
             params.validate()
 
 
+class TestEnsureFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 11, -1])
+    def test_non_finite_anywhere_is_reported(self, dtype, bad, at):
+        a = np.linspace(-3.0, 3.0, 24).astype(dtype).reshape(2, 3, 4)
+        a.reshape(-1)[at] = bad
+        with pytest.raises(NumericFaultError, match="^op produced"):
+            ops._ensure_finite("op", np.zeros(3), a)
+
+    def test_finite_and_empty_arrays_pass(self):
+        big = np.finfo(np.float64).max
+        ops._ensure_finite("op", np.array([-big, 0.0, big]), np.zeros((0, 3)), np.zeros((2, 0)))
+
+
 class TestActivations:
     def test_relu_values(self):
-        np.testing.assert_array_equal(ops.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        x = np.array([-1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(ops.relu(x), [0.0, 0.0, 2.0])
+        assert ops.relu(x, out=x) is x
+        np.testing.assert_array_equal(x, [0.0, 0.0, 2.0])
+
+    def test_relu_backward_mask_from_output_is_mask_from_input(self):
+        x = np.array([-2.0, -0.0, 0.0, -5e-324, 5e-324, 3.0] * 2)
+        g = np.repeat([1.5, -1.5], 6)  # negative gradients make signed zeros
+        from_output = ops.relu_backward(ops.relu(x), g)
+        assert from_output.tobytes() == ops.relu_backward(x, g).tobytes()
 
     def test_sigmoid_midpoint_and_saturation(self):
         assert ops.sigmoid(np.array(0.0)) == 0.5
