@@ -2,15 +2,18 @@
 
 The on-disk format is deliberately boring: a magic string, a fixed-width
 decimal manifest length, a line-oriented UTF-8 manifest describing the config
-and every tensor in order, then all tensor payloads concatenated as
-little-endian float32. Everything a loader needs is recomputable from the
-manifest, so truncation and corruption are detectable before any tensor is
-handed to a model.
+(one line per `ModelConfig`/`DspConfig` field) and every tensor in order, then
+all tensor payloads concatenated as little-endian float32. The loader rejects
+truncated or overlong files, a corrupt manifest, tensors that disagree with
+the config, non-finite values and invalid layers before it returns a model. A
+flipped payload bit that leaves a valid finite value needs a checksum, which
+format version 1 does not carry.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -20,11 +23,13 @@ from .errors import (
     BadMagicError,
     ConfigInvalidError,
     ManifestCorruptError,
+    NumericFaultError,
     PayloadTruncatedError,
     ShapeMismatchError,
     UnknownModelError,
 )
 from .network import Model, ModelConfig, build_model
+from .ops import LayerParams
 from .rng import fnv1a64
 
 MAGIC = b"MCN1"
@@ -103,168 +108,169 @@ def load_registry_model(name: str) -> Model:
 # --- serialization ------------------------------------------------------------
 
 
-def _config_lines(config: ModelConfig) -> list[str]:
-    d = config.dsp
-    lines = [
-        f"format_version {FORMAT_VERSION}",
-        f"family {config.family}",
-        f"backend {config.backend}",
-        f"n_tags {config.n_tags}",
-        f"sample_rate {d.sample_rate}",
-        f"fft_size {d.fft_size}",
-        f"hop_size {d.hop_size}",
-        f"n_mels {d.n_mels}",
-        f"fmin {d.fmin!r}",
-        f"fmax {d.fmax!r}",
-        f"log_offset {d.log_offset!r}",
-        f"patch_frames {d.patch_frames}",
-        f"patch_hop_frames {d.patch_hop_frames}",
-        "timbral_filter_heights " + " ".join(repr(f) for f in config.timbral_filter_heights),
-        f"timbral_channels {config.timbral_channels}",
-        "temporal_filter_lengths " + " ".join(str(n) for n in config.temporal_filter_lengths),
-        f"temporal_channels {config.temporal_channels}",
-        f"midend_channels {config.midend_channels}",
-        f"midend_kernel {config.midend_kernel}",
-        f"penultimate_units {config.penultimate_units}",
-        "vgg_block_channels " + " ".join(str(c) for c in config.vgg_block_channels),
-        "vgg_pool_shapes " + " ".join(f"{h}x{w}" for h, w in config.vgg_pool_shapes),
-    ]
+def _format(value, sep: str = " ") -> str:
+    if isinstance(value, tuple):
+        return sep.join(_format(v, "x") for v in value)
+    return str(value)
+
+
+def _parse(text: str, like, sep: str | None = None):
+    """`text` as the type of `like`; tuple items split on spaces, pairs on 'x'."""
+    if not isinstance(like, tuple):
+        return type(like)(text)
+    parts = text.split(sep)
+    if sep and len(parts) != len(like):
+        raise ValueError(f"{text!r} is not {len(like)} values joined by {sep!r}")
+    return tuple(_parse(p, like[0], "x") for p in parts)
+
+
+def field_lines(config) -> list[str]:
+    """One 'name value' line per field of a config dataclass, nested ones inlined."""
+    lines = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        lines += field_lines(value) if dataclasses.is_dataclass(value) else [f"{f.name} {_format(value)}"]
     return lines
 
 
-def _parse_config(fields: dict[str, str]) -> ModelConfig:
-    try:
-        dsp = DspConfig(
-            sample_rate=int(fields["sample_rate"]),
-            fft_size=int(fields["fft_size"]),
-            hop_size=int(fields["hop_size"]),
-            n_mels=int(fields["n_mels"]),
-            fmin=float(fields["fmin"]),
-            fmax=float(fields["fmax"]),
-            log_offset=float(fields["log_offset"]),
-            patch_frames=int(fields["patch_frames"]),
-            patch_hop_frames=int(fields["patch_hop_frames"]),
-        )
-        pools = tuple(
-            (int(h), int(w))
-            for h, w in (p.split("x") for p in fields["vgg_pool_shapes"].split())
-        )
-        return ModelConfig(
-            family=fields["family"],
-            backend=fields["backend"],
-            n_tags=int(fields["n_tags"]),
-            dsp=dsp,
-            timbral_filter_heights=tuple(float(f) for f in fields["timbral_filter_heights"].split()),
-            timbral_channels=int(fields["timbral_channels"]),
-            temporal_filter_lengths=tuple(int(n) for n in fields["temporal_filter_lengths"].split()),
-            temporal_channels=int(fields["temporal_channels"]),
-            midend_channels=int(fields["midend_channels"]),
-            midend_kernel=int(fields["midend_kernel"]),
-            penultimate_units=int(fields["penultimate_units"]),
-            vgg_block_channels=tuple(int(c) for c in fields["vgg_block_channels"].split()),
-            vgg_pool_shapes=pools,
-        )
-    except KeyError as exc:
-        raise ManifestCorruptError(f"manifest missing field {exc.args[0]!r}") from None
-    except (ValueError, ConfigInvalidError) as exc:
-        raise ManifestCorruptError(f"manifest config invalid: {exc}") from None
+def parse_fields(cls, fields: dict[str, str], defaults: bool = False):
+    """Build config dataclass `cls` from name -> value text, popping each name used.
+
+    Values take the type of the field's default (int, float, str, or tuples of
+    those or of 'HxW' pairs); nested configs read the same flat namespace. A
+    missing field raises ConfigInvalidError unless `defaults` is set.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        like = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(like):
+            kwargs[f.name] = parse_fields(type(like), fields, defaults)
+        elif f.name in fields:
+            try:
+                kwargs[f.name] = _parse(fields.pop(f.name), like)
+            except ValueError as exc:
+                raise ConfigInvalidError(f"{f.name}: {exc}") from None
+        elif not defaults:
+            raise ConfigInvalidError(f"missing field {f.name!r}")
+    return cls(**kwargs)
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
     """Write config, tags, and every tensor as little-endian float32."""
-    lines = _config_lines(model.config)
-    for tag in model.tags:
-        lines.append(f"tag {tag}")
     tensors = model.tensors()
-    payload = io.BytesIO()
-    for key, tensor in tensors.items():
-        shape = " ".join(str(n) for n in tensor.shape)
-        lines.append(f"tensor {key} {shape}")
-        payload.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    lines = [f"format_version {FORMAT_VERSION}", *field_lines(model.config)]
+    lines += [f"tag {tag}" for tag in model.tags]
+    lines += [f"tensor {key} {_format(t.shape)}" for key, t in tensors.items()]
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(f"{len(manifest):0{_LEN_DIGITS}d}".encode("ascii"))
-        fh.write(manifest)
-        fh.write(payload.getvalue())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise PayloadTruncatedError(f"file ends inside {what} ({len(data)} of {n} bytes)")
-    return data
+        fh.write(MAGIC + f"{len(manifest):0{_LEN_DIGITS}d}".encode("ascii") + manifest)
+        for tensor in tensors.values():
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 def load_model(path: str | os.PathLike) -> Model:
     """Read a container back; raises a named error for each failure mode.
 
-    BadMagicError        not this format at all
-    ManifestCorruptError header fields unreadable or inconsistent
-    PayloadTruncatedError file shorter than the manifest promises
-    ShapeMismatchError   tensor list disagrees with the config algebra
+    BadMagicError         not this format at all
+    ManifestCorruptError  header fields unreadable or inconsistent, or bytes
+                          after the payload
+    PayloadTruncatedError file shorter than the length field or the manifest's
+                          tensor shapes promise
+    ShapeMismatchError    tensor list disagrees with the config algebra, or a
+                          layer fails validation (e.g. a negative bn_var)
+    NumericFaultError     a tensor holds NaN or Inf
+
+    A flipped payload bit that leaves every value finite and valid still
+    loads; only a checksum (a v2 manifest) could catch it.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        length_field = _read_exact(fh, _LEN_DIGITS, "the manifest length field")
-        if not length_field.isdigit():
-            raise ManifestCorruptError(f"manifest length field {length_field!r} is not decimal")
-        manifest_bytes = _read_exact(fh, int(length_field), "the manifest")
-        try:
-            manifest = manifest_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ManifestCorruptError(f"manifest is not UTF-8: {exc}") from None
+        blob = fh.read()
+    if blob[: len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"bad magic {blob[: len(MAGIC)]!r}, expected {MAGIC!r}")
+    start = len(MAGIC) + _LEN_DIGITS
+    length_field = blob[len(MAGIC) : start]
+    if len(length_field) < _LEN_DIGITS:
+        raise PayloadTruncatedError(
+            f"file ends inside the manifest length field ({len(length_field)} of {_LEN_DIGITS} bytes)"
+        )
+    if not length_field.isdigit():
+        raise ManifestCorruptError(f"manifest length field {length_field!r} is not decimal")
+    end = start + int(length_field)
+    if end > len(blob):
+        raise PayloadTruncatedError(
+            f"manifest length {int(length_field)} overruns the {len(blob) - start} bytes left in the file"
+        )
+    try:
+        manifest = blob[start:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestCorruptError(f"manifest is not UTF-8: {exc}") from None
 
-        fields: dict[str, str] = {}
-        tags: list[str] = []
-        tensor_specs: list[tuple[str, tuple[int, ...]]] = []
-        for lineno, line in enumerate(manifest.splitlines(), start=1):
-            if not line.strip():
-                continue
-            key, _, rest = line.partition(" ")
-            if key == "tag":
-                tags.append(rest)
-            elif key == "tensor":
-                name, _, shape_part = rest.partition(" ")
-                try:
-                    shape = tuple(int(n) for n in shape_part.split())
-                except ValueError:
-                    raise ManifestCorruptError(
-                        f"manifest line {lineno}: bad tensor shape {shape_part!r}"
-                    ) from None
-                tensor_specs.append((name, shape))
-            elif key in fields:
-                raise ManifestCorruptError(f"manifest line {lineno}: duplicate field {key!r}")
-            else:
-                fields[key] = rest
-        if fields.get("format_version") != str(FORMAT_VERSION):
-            raise ManifestCorruptError(
-                f"unsupported format_version {fields.get('format_version')!r}"
-            )
-        config = _parse_config(fields)
-        if len(tags) != config.n_tags:
-            raise ManifestCorruptError(
-                f"manifest lists {len(tags)} tags for an n_tags={config.n_tags} config"
-            )
+    fields: dict[str, str] = {}
+    tags: list[str] = []
+    tensor_specs: list[tuple[str, tuple[int, ...]]] = []
+    for lineno, line in enumerate(manifest.splitlines(), start=1):
+        if not line.strip():
+            continue
+        key, _, rest = line.partition(" ")
+        if key == "tag":
+            tags.append(rest)
+        elif key == "tensor":
+            name, _, shape_part = rest.partition(" ")
+            try:
+                shape = tuple(int(n) for n in shape_part.split())
+            except ValueError:
+                raise ManifestCorruptError(
+                    f"manifest line {lineno}: bad tensor shape {shape_part!r}"
+                ) from None
+            tensor_specs.append((name, shape))
+        elif key in fields:
+            raise ManifestCorruptError(f"manifest line {lineno}: duplicate field {key!r}")
+        else:
+            fields[key] = rest
+    if fields.get("format_version") != str(FORMAT_VERSION):
+        raise ManifestCorruptError(
+            f"unsupported format_version {fields.get('format_version')!r}"
+        )
+    try:
+        config = parse_fields(ModelConfig, fields)
+    except ConfigInvalidError as exc:
+        raise ManifestCorruptError(f"manifest config invalid: {exc}") from None
+    if len(tags) != config.n_tags:
+        raise ManifestCorruptError(
+            f"manifest lists {len(tags)} tags for an n_tags={config.n_tags} config"
+        )
 
-        expected = [
-            (f"{layer}.{field_name}", shape)
-            for layer, tensors in config.layer_shapes().items()
-            for field_name, shape in tensors.items()
-        ]
-        if tensor_specs != expected:
-            raise ShapeMismatchError(
-                "manifest tensor list does not match the shapes implied by the config"
-            )
+    expected = [
+        (f"{layer}.{field_name}", shape)
+        for layer, tensors in config.layer_shapes().items()
+        for field_name, shape in tensors.items()
+    ]
+    if tensor_specs != expected:
+        raise ShapeMismatchError(
+            "manifest tensor list does not match the shapes implied by the config"
+        )
+    sizes = [math.prod(shape) for _, shape in expected]
+    n_bytes = 4 * sum(sizes)
+    if end + n_bytes > len(blob):
+        raise PayloadTruncatedError(f"payload holds {len(blob) - end} of the {n_bytes} bytes its tensors need")
+    if end + n_bytes < len(blob):
+        raise ManifestCorruptError(
+            f"{len(blob) - end - n_bytes} trailing bytes after the payload, at byte offset {end + n_bytes}"
+        )
 
-        values: dict[str, np.ndarray] = {}
-        for name, shape in tensor_specs:
-            n_bytes = int(np.prod(shape)) * 4
-            raw = _read_exact(fh, n_bytes, f"tensor {name}")
-            values[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-    model = build_model(config, init="zeros", tags=tuple(tags))
-    model.set_tensors(values)
-    return model
+    payload = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=end)
+    if payload.size and not (math.isfinite(payload.max()) and math.isfinite(payload.min())):
+        bad = int(np.flatnonzero(~np.isfinite(payload))[0])
+        stops = np.cumsum(sizes)
+        i = int(np.searchsorted(stops, bad, side="right"))
+        raise NumericFaultError(
+            f"tensor {expected[i][0]} at byte offset {end + 4 * int(stops[i] - sizes[i])} "
+            f"holds a non-finite value at byte offset {end + 4 * bad}"
+        )
+    layers: dict[str, dict[str, np.ndarray]] = {}
+    pos = 0
+    for (key, shape), size in zip(expected, sizes):
+        layer, field_name = key.rsplit(".", 1)
+        layers.setdefault(layer, {})[field_name] = payload[pos : pos + size].reshape(shape).astype(np.float32)
+        pos += size
+    return Model(config, [LayerParams(name, **arrays) for name, arrays in layers.items()], tuple(tags))

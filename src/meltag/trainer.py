@@ -20,7 +20,7 @@ from .dsp import DspConfig
 from .errors import ConfigInvalidError, MeltagError, NumericFaultError
 from .network import Model, ModelConfig
 from .rng import SplitMix64
-from .store import registry_get, save_model
+from .store import parse_fields, registry_get, save_model
 from .validation import as_float_array
 
 EMA_MOMENTUM = 0.9
@@ -263,18 +263,9 @@ def run_train(args: argparse.Namespace) -> int:
         fields = _parse_train_file(args.config)
         model_name = fields.pop("model", "toy_musicnn")
         dataset_size = int(fields.pop("dataset_size", "10"))
-        kwargs: dict = {}
-        for key in ("learning_rate", "beta1", "beta2", "epsilon"):
-            if key in fields:
-                kwargs[key] = float(fields.pop(key))
-        for key in ("batch_size", "epochs", "seed"):
-            if key in fields:
-                kwargs[key] = int(fields.pop(key))
-        if "mode" in fields:
-            kwargs["mode"] = fields.pop("mode")
+        config = parse_fields(TrainConfig, fields, defaults=True)
         if fields:
             raise ConfigInvalidError(f"unknown config keys: {', '.join(sorted(fields))}")
-        config = TrainConfig(**kwargs)
         model = _model_from_name(model_name, config.mode)
         x, y = synthetic_dataset(model.config, dataset_size, seed=config.seed)
         log = fit(model, x, y, config)

@@ -1,18 +1,33 @@
 """Weight container round trips, tamper detection, and the model registry."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meltag import store
 from meltag.errors import (
     BadMagicError,
+    ConfigInvalidError,
     ManifestCorruptError,
+    MeltagError,
+    NumericFaultError,
     PayloadTruncatedError,
     ShapeMismatchError,
     UnknownModelError,
 )
 from meltag.network import build_model, forward
-from meltag.store import load_model, load_registry_model, registry_get, registry_names, save_model
+from meltag.store import (
+    field_lines,
+    load_model,
+    load_registry_model,
+    parse_fields,
+    registry_get,
+    registry_names,
+    save_model,
+)
 
 from conftest import tiny_musicnn, tiny_vgg
 
@@ -34,6 +49,23 @@ def _rewrite_lines(blob, edit):
     lines = blob[start:end].decode("utf-8").splitlines()
     manifest = ("\n".join(edit(lines)) + "\n").encode("utf-8")
     return blob[:4] + f"{len(manifest):010d}".encode("ascii") + manifest + blob[end:]
+
+
+def _tensor_offset(blob, key):
+    """Byte offset of tensor `key`, summed from the manifest's shape lines."""
+    start, end = _manifest_span(blob)
+    offset = end
+    for line in blob[start:end].decode("utf-8").splitlines():
+        if line.startswith("tensor "):
+            _, name, *dims = line.split()
+            if name == key:
+                return offset
+            offset += 4 * int(np.prod([int(d) for d in dims]))
+    raise KeyError(key)
+
+
+def _put_float32(blob, offset, value):
+    return blob[:offset] + np.array([value], dtype="<f4").tobytes() + blob[offset + 4 :]
 
 
 class TestRegistry:
@@ -282,3 +314,268 @@ class TestLoadErrors:
         assert not np.array_equal(
             a.layer("output_dense").bias, b.layer("output_dense").bias
         )
+
+    def test_trailing_bytes_after_payload(self, tmp_path, saved):
+        _, blob = saved
+        with pytest.raises(ManifestCorruptError, match=f"7 trailing bytes .* offset {len(blob)}"):
+            self._load_bytes(tmp_path, blob + b"garbage")
+
+    def test_length_field_overrunning_the_file(self, tmp_path, saved):
+        _, blob = saved
+        with pytest.raises(PayloadTruncatedError):
+            self._load_bytes(tmp_path, blob[:4] + b"9999999999" + blob[14:])
+
+    def test_tensor_shapes_overrunning_the_file(self, tmp_path, saved):
+        """A consistent manifest for a 552 GB model in front of a tiny payload."""
+        _, blob = saved
+        huge = tiny_musicnn(timbral_channels=10**9)
+
+        def grow(lines):
+            kept = [l for l in lines if not l.startswith(("tensor ", "timbral_channels "))]
+            return kept + [f"timbral_channels {10**9}"] + [
+                f"tensor {layer}.{name} {' '.join(map(str, shape))}"
+                for layer, tensors in huge.layer_shapes().items()
+                for name, shape in tensors.items()
+            ]
+
+        with pytest.raises(PayloadTruncatedError):
+            self._load_bytes(tmp_path, _rewrite_lines(blob, grow))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "key, index", [("input_bn.bn_gamma", 0), ("midend_2.weights", 5), ("output_dense.bias", 1)]
+    )
+    def test_non_finite_tensor(self, tmp_path, saved, key, index, value):
+        _, blob = saved
+        offset = _tensor_offset(blob, key)
+        bad = _put_float32(blob, offset + 4 * index, value)
+        with pytest.raises(NumericFaultError, match=f"{key} at byte offset {offset} .* {offset + 4 * index}$"):
+            self._load_bytes(tmp_path, bad)
+
+    def test_negative_bn_var(self, tmp_path, saved):
+        _, blob = saved
+        bad = _put_float32(blob, _tensor_offset(blob, "timbral_1.bn_var"), -1.0)
+        with pytest.raises(ShapeMismatchError, match="timbral_1: bn_var"):
+            self._load_bytes(tmp_path, bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["vgg_pool_shapes 2x2x2 2x2 2x2 4x4 6x3", "vgg_pool_shapes 2 2x2 2x2 4x4 6x3", "n_tags 2.0", "fmin zero"],
+    )
+    def test_unparseable_config_value(self, tmp_path, saved, line):
+        _, blob = saved
+        name = line.split()[0]
+        bad = _rewrite_lines(blob, lambda ls: [line if l.split()[0] == name else l for l in ls])
+        with pytest.raises(ManifestCorruptError, match=name):
+            self._load_bytes(tmp_path, bad)
+
+
+# Golden manifests (tags "yes", "no"); the writer walks the config dataclasses,
+# so these pin field order and value formatting against drift.
+_MUSICNN_MANIFEST = """\
+    format_version 1
+    family musicnn
+    backend temporal_pooling
+    n_tags 2
+    sample_rate 2000
+    fft_size 64
+    hop_size 32
+    n_mels 8
+    fmin 0.0
+    fmax 1000.0
+    log_offset 1e-06
+    patch_frames 8
+    patch_hop_frames 8
+    timbral_filter_heights 0.9 0.4
+    timbral_channels 2
+    temporal_filter_lengths 5 3
+    temporal_channels 1
+    midend_channels 3
+    midend_kernel 7
+    penultimate_units 4
+    vgg_block_channels 32 64 96 128 128
+    vgg_pool_shapes 2x2 2x2 2x2 4x4 6x3
+    tag yes
+    tag no
+    tensor input_bn.bn_gamma 1
+    tensor input_bn.bn_beta 1
+    tensor input_bn.bn_mean 1
+    tensor input_bn.bn_var 1
+    tensor timbral_0.weights 2 1 7 7
+    tensor timbral_0.bias 2
+    tensor timbral_0.bn_gamma 2
+    tensor timbral_0.bn_beta 2
+    tensor timbral_0.bn_mean 2
+    tensor timbral_0.bn_var 2
+    tensor timbral_1.weights 2 1 7 3
+    tensor timbral_1.bias 2
+    tensor timbral_1.bn_gamma 2
+    tensor timbral_1.bn_beta 2
+    tensor timbral_1.bn_mean 2
+    tensor timbral_1.bn_var 2
+    tensor temporal_0.weights 1 1 5 1
+    tensor temporal_0.bias 1
+    tensor temporal_0.bn_gamma 1
+    tensor temporal_0.bn_beta 1
+    tensor temporal_0.bn_mean 1
+    tensor temporal_0.bn_var 1
+    tensor temporal_1.weights 1 1 3 1
+    tensor temporal_1.bias 1
+    tensor temporal_1.bn_gamma 1
+    tensor temporal_1.bn_beta 1
+    tensor temporal_1.bn_mean 1
+    tensor temporal_1.bn_var 1
+    tensor midend_1.weights 3 6 7 1
+    tensor midend_1.bias 3
+    tensor midend_1.bn_gamma 3
+    tensor midend_1.bn_beta 3
+    tensor midend_1.bn_mean 3
+    tensor midend_1.bn_var 3
+    tensor midend_2.weights 3 3 7 1
+    tensor midend_2.bias 3
+    tensor midend_2.bn_gamma 3
+    tensor midend_2.bn_beta 3
+    tensor midend_2.bn_mean 3
+    tensor midend_2.bn_var 3
+    tensor midend_3.weights 3 3 7 1
+    tensor midend_3.bias 3
+    tensor midend_3.bn_gamma 3
+    tensor midend_3.bn_beta 3
+    tensor midend_3.bn_mean 3
+    tensor midend_3.bn_var 3
+    tensor penultimate_dense.weights 4 30
+    tensor penultimate_dense.bias 4
+    tensor penultimate_dense.bn_gamma 4
+    tensor penultimate_dense.bn_beta 4
+    tensor penultimate_dense.bn_mean 4
+    tensor penultimate_dense.bn_var 4
+    tensor output_dense.weights 2 4
+    tensor output_dense.bias 2
+"""
+
+_VGG_MANIFEST = """\
+    format_version 1
+    family vgg
+    backend temporal_pooling
+    n_tags 2
+    sample_rate 2000
+    fft_size 64
+    hop_size 32
+    n_mels 8
+    fmin 0.0
+    fmax 1000.0
+    log_offset 1e-06
+    patch_frames 8
+    patch_hop_frames 8
+    timbral_filter_heights 0.9 0.4
+    timbral_channels 51
+    temporal_filter_lengths 165 129 65 33
+    temporal_channels 8
+    midend_channels 64
+    midend_kernel 7
+    penultimate_units 200
+    vgg_block_channels 2 2 2 2 2
+    vgg_pool_shapes 2x2 2x2 1x1 1x2 2x1
+    tag yes
+    tag no
+    tensor block1.weights 2 1 3 3
+    tensor block1.bias 2
+    tensor block1.bn_gamma 2
+    tensor block1.bn_beta 2
+    tensor block1.bn_mean 2
+    tensor block1.bn_var 2
+    tensor block2.weights 2 2 3 3
+    tensor block2.bias 2
+    tensor block2.bn_gamma 2
+    tensor block2.bn_beta 2
+    tensor block2.bn_mean 2
+    tensor block2.bn_var 2
+    tensor block3.weights 2 2 3 3
+    tensor block3.bias 2
+    tensor block3.bn_gamma 2
+    tensor block3.bn_beta 2
+    tensor block3.bn_mean 2
+    tensor block3.bn_var 2
+    tensor block4.weights 2 2 3 3
+    tensor block4.bias 2
+    tensor block4.bn_gamma 2
+    tensor block4.bn_beta 2
+    tensor block4.bn_mean 2
+    tensor block4.bn_var 2
+    tensor block5.weights 2 2 3 3
+    tensor block5.bias 2
+    tensor block5.bn_gamma 2
+    tensor block5.bn_beta 2
+    tensor block5.bn_mean 2
+    tensor block5.bn_var 2
+    tensor output_dense.weights 2 2
+    tensor output_dense.bias 2
+"""
+
+
+class TestManifestSchema:
+    @pytest.mark.parametrize(
+        "cfg_factory, golden",
+        [(tiny_musicnn, _MUSICNN_MANIFEST), (tiny_vgg, _VGG_MANIFEST)],
+        ids=["musicnn", "vgg"],
+    )
+    def test_manifest_lines_are_pinned(self, tmp_path, cfg_factory, golden):
+        model = build_model(cfg_factory(), init="zeros", tags=("yes", "no"))
+        _, blob = _save_blob(tmp_path, model)
+        start, end = _manifest_span(blob)
+        assert blob[start:end].decode("utf-8").splitlines() == [l.strip() for l in golden.splitlines()]
+
+    def test_any_config_dataclass_round_trips(self):
+        @dataclass(frozen=True)
+        class Inner:
+            rate: int = 1
+            gain: float = 0.5
+
+        @dataclass(frozen=True)
+        class Outer:
+            name: str = "a"
+            inner: Inner = field(default_factory=Inner)
+            sizes: tuple[int, ...] = (1, 2)
+            pairs: tuple[tuple[int, int], ...] = ((1, 2),)
+
+        value = Outer("b c", Inner(7, 1e-06), (5,), ((3, 4), (6, 1)))
+        lines = field_lines(value)
+        assert lines == ["name b c", "rate 7", "gain 1e-06", "sizes 5", "pairs 3x4 6x1"]
+        text = dict(l.split(" ", 1) for l in lines)
+        assert parse_fields(Outer, text) == value
+        assert text == {}
+        assert parse_fields(Outer, {"rate": "3"}, defaults=True) == Outer(inner=Inner(rate=3))
+        with pytest.raises(ConfigInvalidError, match="missing field 'gain'"):
+            parse_fields(Outer, {"name": "a", "rate": "1", "sizes": "1", "pairs": "1x1"})
+        with pytest.raises(ConfigInvalidError, match="pairs"):
+            parse_fields(Outer, {"pairs": "1x2x3"}, defaults=True)
+
+
+@pytest.fixture(scope="module")
+def toy_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "toy.mcn"
+    save_model(build_model(tiny_musicnn(), seed=5), path)
+    return path.read_bytes(), path.with_name("damaged.mcn")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=st.sampled_from(["overwrite", "truncate", "append"]), data=st.data())
+def test_damaged_container_loads_or_raises_a_named_error(toy_blob, edit, data):
+    """Any one-byte overwrite loads or raises a MeltagError; a cut or an
+    appended tail never loads."""
+    blob, path = toy_blob
+    if edit == "overwrite":
+        i = data.draw(st.integers(0, len(blob) - 1))
+        path.write_bytes(blob[:i] + bytes([data.draw(st.integers(0, 255))]) + blob[i + 1 :])
+        try:
+            load_model(path)
+        except MeltagError:
+            pass
+    elif edit == "truncate":
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises((BadMagicError, PayloadTruncatedError)):
+            load_model(path)
+    else:
+        path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=64)))
+        with pytest.raises(ManifestCorruptError, match="trailing bytes"):
+            load_model(path)

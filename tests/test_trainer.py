@@ -343,6 +343,29 @@ class TestTrainCli:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_unparseable_value_exits_one(self, tmp_path, capsys):
+        config = self._config_file(tmp_path, "model toy_musicnn\nepochs ten\n")
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
+        assert code == 1
+        assert "error: epochs" in capsys.readouterr().err
+        assert not (tmp_path / "x.mcn").exists()
+
+    def test_values_parse_to_the_field_types(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(model, x, y, config):
+            seen.append(config)
+            return fit(model, x, y, config)
+
+        monkeypatch.setattr(trainer, "fit", spy)
+        config = self._config_file(
+            tmp_path, "dataset_size 2\nepochs 1\nbatch_size 2\nlearning_rate 0.01\nmode float32\n"
+        )
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")]) == 0
+        capsys.readouterr()
+        assert seen == [TrainConfig(learning_rate=0.01, batch_size=2, epochs=1, mode="float32")]
+        assert type(seen[0].learning_rate) is float and type(seen[0].epochs) is int
+
     def test_key_without_value_exits_one(self, tmp_path, capsys):
         config = self._config_file(tmp_path, "epochs\n")
         code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
