@@ -21,6 +21,7 @@ from .errors import (
     CorruptHeaderError,
     DegenerateBandError,
     EmptyAudioError,
+    NumericFaultError,
     UnsupportedFormatError,
 )
 
@@ -93,15 +94,20 @@ def load_wav(path) -> Waveform:
     """Decode a RIFF/WAVE file to a mono float64 waveform.
 
     16-bit samples are scaled by 1/32768; stereo is downmixed by channel
-    mean. Raises UnsupportedFormatError for codecs other than PCM16/float32,
+    mean. Both are done on one float64 buffer: channel 0 is cast, channel 1
+    added in place, then one power-of-two scale (0.5 per stereo mean, 2**-15
+    for PCM16) is applied. Scaling by a power of two is exact here, so the
+    result equals `(left + right) / 2 / 32768` bit for bit. Raises
+    UnsupportedFormatError for codecs other than PCM16/float32,
     CorruptHeaderError for malformed chunk structure, EmptyAudioError for a
-    zero-length data chunk.
+    zero-length data chunk, NumericFaultError for a NaN or Inf float sample.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 12 or buf[0:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(buf)  # chunk bodies are views, not copies
     fmt = None
     data = None
     pos = 12
@@ -111,7 +117,7 @@ def load_wav(path) -> Waveform:
         body_start = pos + 8
         if body_start + chunk_size > len(buf):
             raise CorruptHeaderError(f"{path}: chunk {chunk_id!r} overruns the file")
-        body = buf[body_start : body_start + chunk_size]
+        body = view[body_start : body_start + chunk_size]
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
@@ -142,28 +148,47 @@ def load_wav(path) -> Waveform:
     if len(data) == 0:
         raise EmptyAudioError(f"{path}: zero audio samples")
 
-    dtype = "<i2" if code == _PCM16 else "<f4"
-    raw = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    frames = np.frombuffer(data, dtype="<i2" if code == _PCM16 else "<f4").reshape(-1, channels)
+    if code == _FLOAT32 and not np.isfinite(frames).all():
+        frame, channel = np.argwhere(~np.isfinite(frames))[0]
+        raise NumericFaultError(f"{path}: non-finite sample in frame {frame}, channel {channel}")
+    samples = frames[:, 0].astype(np.float64)
     if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    if code == _PCM16:
-        raw = raw / 32768.0
-    return Waveform(samples=raw, sample_rate=rate)
+        samples += frames[:, 1]
+    scale = (2.0**-15 if code == _PCM16 else 1.0) / channels
+    if scale != 1.0:
+        samples *= scale
+    return Waveform(samples=samples, sample_rate=rate)
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Linear-interpolation resampling with edge-hold extrapolation.
 
     Output length is floor(len * target / source). At identical rates the
-    input is returned unchanged (exact identity).
+    input is returned unchanged (exact identity). Output sample k sits at
+    position x = k * (source / target) in the input; below the last input
+    index it is `(s[j+1] - s[j]) * (x - j) + s[j]` with j = floor(x), or
+    `s[j]` itself where x == j, and from there on it holds `s[-1]`. That is
+    np.interp's formula on unit-spaced xp, so for finite samples the result
+    equals `np.interp(x, arange(len), s)` bit for bit, without building xp.
     """
     if target_rate <= 0:
         raise ConfigInvalidError("target_rate must be positive")
     if target_rate == w.sample_rate:
         return w
-    n_out = len(w.samples) * target_rate // w.sample_rate
-    positions = np.arange(n_out, dtype=np.float64) * (w.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(len(w.samples)), w.samples)
+    s = w.samples
+    n_out = len(s) * target_rate // w.sample_rate
+    out = np.arange(n_out, dtype=np.float64) * (w.sample_rate / target_rate)  # positions, rising
+    inner = int(np.searchsorted(out, len(s) - 1))  # positions below the last index interpolate
+    x = out[:inner]
+    j = x.astype(np.intp)
+    x -= j
+    lo = s[j]
+    whole = x == 0.0
+    x *= s[1:][j] - lo
+    x += lo
+    np.copyto(x, lo, where=whole)  # np.interp returns s[j] itself at x == j, keeping a -0.0
+    out[inner:] = s[-1:]
     return Waveform(samples=out, sample_rate=target_rate)
 
 
@@ -235,7 +260,9 @@ def log_mel(w: Waveform, cfg: DspConfig = DspConfig()) -> MelSpectrogram:
     w = resample(w, cfg.sample_rate)
     magnitudes = stft_magnitude(w, cfg.fft_size, cfg.hop_size)
     bank = mel_filterbank(cfg)
-    values = np.log(magnitudes @ bank.T + cfg.log_offset)
+    values = magnitudes @ bank.T
+    values += cfg.log_offset
+    np.log(values, out=values)
     return MelSpectrogram(values=values, config=cfg)
 
 

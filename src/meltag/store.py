@@ -172,8 +172,8 @@ def load_model(path: str | os.PathLike) -> Model:
     """Read a container back; raises a named error for each failure mode.
 
     BadMagicError         not this format at all
-    ManifestCorruptError  header fields unreadable or inconsistent, or bytes
-                          after the payload
+    ManifestCorruptError  header fields unreadable, unknown or inconsistent, or
+                          bytes after the payload
     PayloadTruncatedError file shorter than the length field or the manifest's
                           tensor shapes promise
     ShapeMismatchError    tensor list disagrees with the config algebra, or a
@@ -235,6 +235,9 @@ def load_model(path: str | os.PathLike) -> Model:
         config = parse_fields(ModelConfig, fields)
     except ConfigInvalidError as exc:
         raise ManifestCorruptError(f"manifest config invalid: {exc}") from None
+    unknown = sorted(fields.keys() - {"format_version"})
+    if unknown:
+        raise ManifestCorruptError(f"unknown manifest field(s): {', '.join(unknown)}")
     if len(tags) != config.n_tags:
         raise ManifestCorruptError(
             f"manifest lists {len(tags)} tags for an n_tags={config.n_tags} config"

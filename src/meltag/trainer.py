@@ -230,6 +230,8 @@ def _parse_train_file(path) -> dict[str, str]:
             key, _, value = line.partition(" ")
             if not value:
                 raise ConfigInvalidError(f"{path}:{lineno}: want 'key value'")
+            if key in fields:
+                raise ConfigInvalidError(f"{path}:{lineno}: duplicate key {key!r}")
             fields[key] = value.strip()
     return fields
 

@@ -1,5 +1,7 @@
 """DSP front end: WAV decoding, resampling, STFT, mel filterbank, patching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from meltag.errors import (
     CorruptHeaderError,
     DegenerateBandError,
     EmptyAudioError,
+    NumericFaultError,
     UnsupportedFormatError,
 )
 
@@ -98,6 +101,56 @@ class TestLoadWav:
         with pytest.raises(CorruptHeaderError):
             dsp.load_wav(bad)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_bytes_match_the_channel_mean_reference(self, wav_factory, fmt, channels):
+        # the decoder's cast + in-place add + power-of-two scale must give the
+        # very bits of the float64 channel mean, extremes and subnormals included
+        rng = np.random.default_rng(6)
+        if fmt == "pcm16":
+            edges = np.array([-32768, 32767, -32767, 0, 1, -1], dtype=np.int16)
+            values = np.concatenate([edges, rng.integers(-32768, 32768, 600).astype(np.int16)])
+            encoded, dtype, scale = values / 32768.0, "<i2", 32768.0
+        else:
+            tiny = np.finfo(np.float32).smallest_subnormal
+            big = np.finfo(np.float32).max
+            edges = np.array([big, -big, big, tiny, -tiny, tiny, 3 * tiny, -0.0, -0.0, 0.0], np.float32)
+            values = np.concatenate([edges, rng.normal(size=600).astype(np.float32)])
+            encoded, dtype, scale = values, "<f4", 1.0
+        path = wav_factory(encoded.reshape(-1, channels), 22050, fmt=fmt)
+        data = path.read_bytes()[-values.nbytes :]  # the data chunk comes last
+        reference = np.frombuffer(data, dtype).astype(np.float64)
+        if channels == 2:
+            reference = reference.reshape(-1, 2).mean(axis=1)
+        reference = reference / scale
+        assert dsp.load_wav(path).samples.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_names_file_and_frame(self, wav_factory, bad, channels):
+        values = np.full((6, channels), 0.25)
+        values[4, channels - 1] = bad
+        path = wav_factory(values, 4000, fmt="float32")
+        with pytest.raises(NumericFaultError) as info:
+            dsp.load_wav(path)
+        assert str(path) in str(info.value)
+        assert f"frame 4, channel {channels - 1}" in str(info.value)
+
+    def test_peak_memory_of_a_long_stereo_clip(self, wav_factory):
+        # 60 s of 44.1 kHz stereo PCM16: a float64 copy of every interleaved
+        # sample would be twice the output, so the bound leaves no room for it
+        codes = np.random.default_rng(7).integers(-32768, 32768, (60 * 44100, 2)).astype(np.int16)
+        path = wav_factory(codes / 32768.0, 44100)
+        del codes
+        tracemalloc.start()
+        try:
+            w = dsp.load_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(w) == 60 * 44100
+        assert peak <= 1.5 * (path.stat().st_size + w.samples.nbytes)
+
 
 class TestResample:
     def test_identity_at_same_rate(self):
@@ -124,6 +177,19 @@ class TestResample:
                 continue
             w = Waveform(samples=rng.normal(size=n), sample_rate=src)
             assert len(dsp.resample(w, dst).samples) == n * dst // src
+
+    def test_bytes_match_np_interp(self):
+        rng = np.random.default_rng(8)
+        rates = (7, 8, 11, 1000, 8000, 11025, 16000, 22050, 44100, 48000, 96000)
+        for n in (1, 2, 3, 5, 17, 101):
+            for src in rates:
+                for dst in rates:
+                    samples = rng.normal(size=n)
+                    samples[rng.random(n) < 0.2] = -0.0  # np.interp keeps the sign at x == j
+                    positions = np.arange(n * dst // src, dtype=np.float64) * (src / dst)
+                    reference = np.interp(positions, np.arange(n), samples)
+                    out = dsp.resample(Waveform(samples=samples, sample_rate=src), dst).samples
+                    assert out.tobytes() == reference.tobytes(), (n, src, dst)
 
     def test_sine_survives_resampling(self):
         w = Waveform(samples=sine(440.0, 1.0, 44100), sample_rate=44100)

@@ -247,6 +247,17 @@ class TestLoadErrors:
         with pytest.raises(ManifestCorruptError):
             self._load_bytes(tmp_path, bad)
 
+    def test_unknown_field(self, tmp_path, saved):
+        """A misspelt field next to the real one must not be dropped silently."""
+        _, blob = saved
+
+        def add_typo(lines):
+            idx = next(i for i, l in enumerate(lines) if l.startswith("midend_kernel "))
+            return lines[: idx + 1] + ["midend_kernal 9"] + lines[idx + 1 :]
+
+        with pytest.raises(ManifestCorruptError, match="midend_kernal"):
+            self._load_bytes(tmp_path, _rewrite_lines(blob, add_typo))
+
     def test_unsupported_format_version(self, tmp_path, saved):
         _, blob = saved
         bad = _rewrite_lines(blob, lambda ls: ["format_version 2"] + ls[1:])

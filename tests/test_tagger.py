@@ -1,9 +1,11 @@
 """Taggram semantics, top-N ranking, listing format, and the tag CLI."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from meltag import tagger
+from meltag import cli, tagger
 from meltag.errors import TopNOutOfRangeError, UnknownModelError
 from meltag.network import build_model
 from meltag.store import save_model
@@ -179,6 +181,19 @@ class TestCli:
         assert tagger.cli([]) == 2  # audio argument is required
         assert tagger.cli(["clip.wav", "--topN", "three"]) == 2
         capsys.readouterr()
+
+    def test_non_finite_sample_exits_one_naming_the_file(self, tiny_model_path, wav_factory, capsys):
+        values = np.random.default_rng(2).uniform(-0.5, 0.5, (1024, 2))
+        values[700, 0] = np.nan
+        path = wav_factory(values, 2000, fmt="float32")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from deep inside the pipeline
+            code = cli.main(["tag", str(path), "-m", str(tiny_model_path), "--print"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "frame 700, channel 0" in captured.err
 
     def test_corrupt_model_file_exits_one(self, tiny_wav, tmp_path, capsys):
         bad = tmp_path / "bad.mcn"

@@ -343,6 +343,13 @@ class TestTrainCli:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_duplicate_key_exits_one(self, tmp_path, capsys):
+        config = self._config_file(tmp_path, "model toy_musicnn\nepochs 1\nepochs 3\n")
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
+        assert code == 1
+        assert f"{config}:3: duplicate key 'epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "x.mcn").exists()
+
     def test_unparseable_value_exits_one(self, tmp_path, capsys):
         config = self._config_file(tmp_path, "model toy_musicnn\nepochs ten\n")
         code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
