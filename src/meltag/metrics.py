@@ -4,7 +4,8 @@ ROC-AUC uses the Mann-Whitney formulation (fraction of correctly ordered
 positive/negative pairs, ties counted half), computed through tied ranks so
 it stays exact for heavily quantized scores. PR-AUC is average precision
 without interpolation; tied scores are cut in ascending input-index order,
-which makes the value deterministic.
+which makes the value deterministic. A NaN or ±inf score has no place in
+either order and raises NumericFaultError.
 """
 
 from __future__ import annotations
@@ -13,8 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllColumnsDegenerateError, DegenerateLabelsError, NoPositivesError
+from .errors import AllColumnsDegenerateError, DegenerateLabelsError, NoPositivesError, NumericFaultError
 from .validation import as_float_array
+
+
+def _finite_scores(scores, ndim: int) -> np.ndarray:
+    """Scores as float64; a NaN has no rank and ±inf no place in a cut."""
+    s = as_float_array(scores, "scores", ndim=ndim)
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise NumericFaultError(f"scores hold non-finite {s.flat[bad[0]]} at flat index {bad[0]}")
+    return s
 
 
 def _binary_labels(labels, n: int, name: str = "labels") -> np.ndarray:
@@ -33,7 +43,7 @@ def _tied_ranks(values: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(values), dtype=np.float64)
     i = 0
     while i < len(order):
-        j = i
+        j = i + 1  # always advances, even on a value unequal to itself
         while j < len(order) and values[order[j]] == values[order[i]]:
             j += 1
         ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
@@ -46,7 +56,7 @@ def roc_auc(scores, labels) -> float:
 
     Equals (W - P(P+1)/2) / (P*N) where W is the rank sum of positives.
     """
-    s = as_float_array(scores, "scores", ndim=1)
+    s = _finite_scores(scores, 1)
     y = _binary_labels(labels, len(s))
     p = int(y.sum())
     n = len(y) - p
@@ -60,7 +70,7 @@ def roc_auc(scores, labels) -> float:
 def pr_auc(scores, labels) -> float:
     """Average precision: mean of precision-at-cut over positives, cuts taken
     in descending score order with ties broken by ascending index."""
-    s = as_float_array(scores, "scores", ndim=1)
+    s = _finite_scores(scores, 1)
     y = _binary_labels(labels, len(s))
     p = int(y.sum())
     if p == 0:
@@ -87,9 +97,10 @@ def macro_metrics(scores, labels) -> MacroMetrics:
 
     A column contributes to the ROC mean only if both classes are present,
     and to the PR mean only if it has at least one positive; skipped columns
-    are reported. Raises when either mean would have no contributing column.
+    are reported. Raises when either mean would have no contributing column,
+    and on a NaN or ±inf score in any column.
     """
-    s = as_float_array(scores, "scores", ndim=2)
+    s = _finite_scores(scores, 2)
     y = np.asarray(labels)
     if y.shape != s.shape:
         raise ValueError(f"labels shape {y.shape} != scores shape {s.shape}")

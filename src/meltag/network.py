@@ -19,6 +19,10 @@ output before bn and relu. Per channel these form a monotone map, also in
 floating point: non-decreasing where gamma >= 0 (max-pool), non-increasing
 where gamma < 0 (min-pool). Train-mode batch statistics need the full map.
 
+Conv outputs, and the maps built from them, are width-major views (see
+`ops`). The ops that would sum them in memory order copy to C order first,
+so this module never deals with layout.
+
 `backward_batch` mirrors it and returns one gradient array per parameter
 tensor. The ops already sum each gradient over the batch in example index
 order, so this module only routes gradients between layers. After an infer

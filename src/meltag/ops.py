@@ -1,8 +1,13 @@
 """Dense tensor operations for the network core: forwards and hand-written
 backwards.
 
-Tensors are plain C-contiguous numpy arrays; shape metadata is the ndarray
-shape, data is the flat row-major buffer. Every op takes a whole batch:
+Tensors are numpy arrays. conv2d stores its output width-major ([..., C, W,
+H] in memory) and returns the transposed [..., C, H, W] view, so a max over
+width (musicnn's frequency axis) combines whole rows of H instead of reducing
+one short row per output; maps computed from it elementwise keep that
+layout. No op's bits depend on its inputs' layout: batchnorm_train and
+batchnorm_infer_backward, whose float sums would follow memory order, sum
+over a C-ordered copy. Every op takes a whole batch:
 convolution inputs are [..., channels, height, width], dense inputs
 [..., features] and max pooling [..., height, width], with any number of
 leading batch axes (none for a single example); batch normalization takes
@@ -85,6 +90,8 @@ def _sum_examples(g: np.ndarray, example_ndim: int) -> np.ndarray:
     batched call returns exactly what adding up single-example calls gives.
     """
     rows = g.reshape((-1,) + g.shape[g.ndim - example_ndim :])
+    if len(rows) == 1:
+        return rows[0].copy()
     return np.add.accumulate(rows, axis=0)[-1].copy()
 
 
@@ -109,17 +116,20 @@ def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -
     w = params.weights
     if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
         raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
-    win = _conv_windows(x.reshape((-1,) + x.shape[-3:]), w.shape[2], w.shape[3], pad_h, pad_w)
+    # windows of the transposed input give [N, C_in, W', H', kW, kH]: the output is
+    # stored width-major, so a max over width (musicnn's frequency) reads whole rows
+    xt = x.reshape((-1,) + x.shape[-3:]).swapaxes(-1, -2)
+    win = _conv_windows(xt, w.shape[3], w.shape[2], pad_w, pad_h)
     wm = w.reshape(len(w), -1)
     y = np.empty((len(win), len(w)) + win.shape[2:4], dtype=np.result_type(w, win))
     # one GEMM per example (a batched GEMM's bits vary with B): tensordot's `dot`, into one
-    # output buffer. The unnamed C_in*kH*kW x H'*W' window copy is freed before the next
+    # output buffer. The unnamed C_in*kH*kW x W'*H' window copy is freed before the next
     for win_b, y_b in zip(win, y.reshape(len(win), len(w), -1)):
-        np.dot(wm, win_b.transpose(0, 3, 4, 1, 2).reshape(wm.shape[1], -1), out=y_b)
+        np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=y_b)
     if params.bias is not None:
         y += params.bias[:, None, None]
     _ensure_finite("conv2d", y)
-    return y.reshape(x.shape[:-3] + y.shape[1:])
+    return y.reshape(x.shape[:-3] + y.shape[1:]).swapaxes(-1, -2)
 
 
 def conv2d_backward(
@@ -230,6 +240,8 @@ def batchnorm_infer_backward(
         raise ShapeMismatchError(f"{params.name}: bn parameters do not match input {x.shape}")
     if grad_out.shape != x.shape:
         raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} vs input {x.shape}")
+    # float sums follow memory order: sum in C order whatever the inputs' layout
+    x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     axes = tuple(range(2, x.ndim))
     gamma = _bn_shape(params.bn_gamma, x.ndim, 1)
     mean = _bn_shape(params.bn_mean, x.ndim, 1)
@@ -256,6 +268,7 @@ def batchnorm_train(
     c = batch.shape[1]
     if params.bn_gamma is None or params.bn_gamma.shape[0] != c:
         raise ShapeMismatchError(f"{params.name}: bn parameters do not match {c} channels")
+    batch = np.ascontiguousarray(batch)  # float sums follow memory order: sum in C order
     axes = (0,) + tuple(range(2, batch.ndim))
     mean = batch.mean(axis=axes)
     var = batch.var(axis=axes)

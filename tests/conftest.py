@@ -7,13 +7,25 @@ two separately written implementations of the format.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meltag.dsp import DspConfig
 from meltag.network import ModelConfig
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_pythonpath():
+    """CLI tests run `python -m meltag...` in a child process: let it import
+    the checkout that pytest's `pythonpath` gave this one, installed or not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def encode_wav(

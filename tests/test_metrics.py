@@ -1,10 +1,17 @@
 """Ranking metrics against pairwise/cut enumeration oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from meltag.errors import AllColumnsDegenerateError, DegenerateLabelsError, NoPositivesError
-from meltag.metrics import macro_metrics, pr_auc, roc_auc
+from meltag.errors import (
+    AllColumnsDegenerateError,
+    DegenerateLabelsError,
+    NoPositivesError,
+    NumericFaultError,
+)
+from meltag.metrics import _tied_ranks, macro_metrics, pr_auc, roc_auc
 
 
 def roc_oracle(scores, labels):
@@ -189,3 +196,33 @@ class TestMacroMetrics:
     def test_label_shape_mismatch(self):
         with pytest.raises(ValueError):
             macro_metrics(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [roc_auc, pr_auc])
+    def test_scalar_metrics_raise(self, metric, bad):
+        with pytest.raises(NumericFaultError, match="index 1"):
+            metric([0.1, bad, 0.3], [0, 1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_macro_metrics_raises_on_any_column(self, bad):
+        s = np.array([[0.9, 0.5], [0.1, 0.6], [0.4, 0.2]])
+        y = np.array([[1, 1], [0, 1], [0, 1]])  # column 1 is skipped by ROC
+        for cell in ((2, 0), (0, 1)):
+            bad_s = s.copy()
+            bad_s[cell] = bad
+            with pytest.raises(NumericFaultError):
+                macro_metrics(bad_s, y)
+
+    def test_tied_ranks_returns_on_nan(self):
+        # NaN == NaN is False, so a tie scan that starts at i must still step
+        result = {}
+        t = threading.Thread(
+            target=lambda: result.setdefault("r", _tied_ranks(np.array([0.3, np.nan, 0.1, np.nan]))),
+            daemon=True,
+        )
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive(), "_tied_ranks did not return"
+        assert result["r"].tolist() == [2.0, 3.0, 1.0, 4.0]

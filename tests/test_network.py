@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meltag import network, ops, store
+from meltag import network, ops, store, trainer
 from meltag.errors import ConfigInvalidError, ShapeMismatchError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
@@ -519,6 +519,42 @@ class TestPoolFirst:
         got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {}, pool)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _c_ordered_copy(value):
+    """Deep copy of a forward cache with every array laid out C-contiguous."""
+    if isinstance(value, np.ndarray):
+        return np.array(value, order="C")
+    if isinstance(value, dict):
+        return {k: _c_ordered_copy(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_c_ordered_copy(v) for v in value)
+    return value
+
+
+class TestCacheLayout:
+    @pytest.mark.parametrize("mode", ["float32", "float64"])
+    @pytest.mark.parametrize("bn_mode", ["infer", "train"])
+    @pytest.mark.parametrize(
+        "family, backend",
+        [("musicnn", "temporal_pooling"), ("musicnn", "attention"), ("vgg", "temporal_pooling")],
+    )
+    def test_backward_bits_do_not_depend_on_the_cache_layout(self, family, backend, bn_mode, mode):
+        # conv maps are cached as width-major views; the gradients must be
+        # the ones a C-ordered cache gives, byte for byte
+        cfg = trainer.toy_model_config(family, backend)
+        model = build_model(cfg, seed=23, mode=mode)
+        _random_bn(model, 6)
+        patches, _ = trainer.synthetic_dataset(cfg, 4, seed=2)
+        logits, _, cache = forward_batch(patches, model, bn_mode=bn_mode)
+        copied = _c_ordered_copy(cache)
+        r = np.random.default_rng(1).normal(size=logits.shape)
+        want = network.backward_batch(model, copied, r)
+        got = network.backward_batch(model, cache, r)
+        assert set(got) == set(want)
+        for key in sorted(got):
+            assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestInferMemory:

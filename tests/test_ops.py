@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meltag import ops
+from meltag import ops, store, trainer
 from meltag.errors import NumericFaultError, ShapeMismatchError
 from meltag.ops import LayerParams
 
@@ -199,6 +199,83 @@ class TestConv2d:
             ops.conv2d_backward(np.zeros((2, 4, 4)), params, np.zeros((1, 3, 3)))
 
 
+# conv2d stores its output width-major ([N, C_out, W', H'] in memory) and
+# returns the transposed view. The GEMM is the one it always was, with the
+# same K order (C_in, kH, kW); only its output columns moved from (H', W')
+# to (W', H'). These pin that against the old column order.
+
+
+def gemm_reference(x, w, b, pad_h, pad_w):
+    """One GEMM per example with columns in (H', W') order, bias added."""
+    k_h, k_w = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k_h, k_w), axis=(2, 3))
+    wm = w.reshape(len(w), -1)
+    y = np.stack([np.dot(wm, win_b.transpose(0, 3, 4, 1, 2).reshape(wm.shape[1], -1)) for win_b in win])
+    return y.reshape((len(x), len(w)) + win.shape[2:4]) + b[:, None, None]
+
+
+def pooled_conv_layers(cfg):
+    """(name, [C_in, H, W] input, padding) of each conv that a max pool follows."""
+    d = cfg.dsp
+    if cfg.family == "musicnn":
+        n = len(cfg.timbral_filter_heights)
+        return [(f"timbral_{i}", (1, d.patch_frames, d.n_mels), (3, 0)) for i in range(n)]
+    layers, (c, h, w) = [], (1, cfg.vgg_input_frames, d.n_mels)
+    for i, (ph, pw) in enumerate(cfg.vgg_pool_shapes, start=1):
+        layers.append((f"block{i}", (c, h, w), (1, 1)))
+        c, h, w = cfg.vgg_block_channels[i - 1], h // ph, w // pw
+    return layers
+
+
+def _conv_against_reference(cfg, dtype, seed):
+    """(name, conv2d output, reference, reference of |x|, |w|, |b|) per layer."""
+    rng = np.random.default_rng(seed)
+    shapes = cfg.layer_shapes()
+    for name, in_shape, pad in pooled_conv_layers(cfg):
+        w = rng.normal(size=shapes[name]["weights"]).astype(dtype)
+        b = rng.normal(size=shapes[name]["bias"]).astype(dtype)
+        x = rng.normal(size=(2,) + in_shape).astype(dtype)
+        y = ops.conv2d(x, LayerParams(name, weights=w, bias=b), *pad)
+        yield name, y, gemm_reference(x, w, b, *pad), gemm_reference(abs(x), abs(w), abs(b), *pad)
+
+
+TOY_CONFIGS = {
+    "toy_musicnn": trainer.toy_model_config("musicnn"),
+    "toy_musicnn_attention": trainer.toy_model_config("musicnn", "attention"),
+    "toy_vgg": trainer.toy_model_config("vgg"),
+}
+
+
+class TestWidthMajorConv:
+    @pytest.mark.parametrize("model_name", store.MODEL_NAMES)
+    def test_registry_float32_equals_the_old_column_order(self, model_name):
+        cfg, _ = store.registry_get(model_name)
+        for name, got, want, _ in _conv_against_reference(cfg, np.float32, 40):
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("toy", sorted(TOY_CONFIGS))
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_toy_within_rounding_of_the_old_column_order(self, toy, dtype, seed):
+        # the same dot products, but OpenBLAS may send a moved column through
+        # the kernel for the last few columns, which adds in another order. Two
+        # orders of K terms differ by at most 2 K u sum|terms| (u = eps / 2); on
+        # toy vgg blocks 3-5 (M=4, K=36, N=18) the moves reach 3 ulps of the sum
+        cfg = TOY_CONFIGS[toy]
+        for name, got, want, abs_sum in _conv_against_reference(cfg, dtype, seed):
+            k = np.prod(cfg.layer_shapes()[name]["weights"][1:])
+            assert got.shape == want.shape, name
+            assert (abs(got - want) <= k * np.finfo(dtype).eps * abs_sum).all(), name
+
+    def test_output_is_stored_width_major(self):
+        x = np.zeros((2, 1, 6, 5), dtype=np.float32)
+        y = ops.conv2d(x, LayerParams("c", weights=np.ones((3, 1, 3, 2), dtype=np.float32)), 1, 0)
+        assert y.shape == (2, 3, 6, 4)
+        assert y.swapaxes(-1, -2).flags.c_contiguous
+
+
 class TestDense:
     def test_identity(self):
         x = np.arange(4.0)
@@ -317,6 +394,30 @@ class TestBatchNorm:
         inputs = {"x": rng.normal(size=(4, 2, 3)), "g": rng.normal(size=2), "be": rng.normal(size=2)}
         report = ops.grad_check(f, inputs, tolerance=1e-5)
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layout_of_the_input_does_not_change_bits(self, dtype):
+        # conv maps arrive as width-major views, and float sums follow memory
+        # order; both ops sum over the C-ordered copy
+        rng = np.random.default_rng(14)
+        params = LayerParams(
+            "bn",
+            bn_gamma=rng.normal(size=4).astype(dtype),
+            bn_beta=rng.normal(size=4).astype(dtype),
+            bn_mean=rng.normal(size=4).astype(dtype),
+            bn_var=rng.uniform(0.5, 2.0, 4).astype(dtype),
+        )
+        view = rng.normal(loc=3.0, size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
+        grad = rng.normal(size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
+        copy, grad_copy = np.ascontiguousarray(view), np.ascontiguousarray(grad)
+        y, mean, var, cache = ops.batchnorm_train(view, params)
+        y_c, mean_c, var_c, cache_c = ops.batchnorm_train(copy, params)
+        got = [y, mean, var, cache["xhat"], cache["inv"]]
+        want = [y_c, mean_c, var_c, cache_c["xhat"], cache_c["inv"]]
+        got += ops.batchnorm_infer_backward(view, params, grad)
+        want += ops.batchnorm_infer_backward(copy, params, grad_copy)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_infer_backward_channel_mismatch(self):
         params = LayerParams(
