@@ -336,7 +336,8 @@ def build_model(
             if field_name == "weights" and init == "random":
                 rng = SplitMix64(layer_seed(seed, name))
                 fan_in = int(np.prod(shape[1:]))
-                values = rng.normals(int(np.prod(shape))) * np.sqrt(2.0 / fan_in)
+                values = rng.normals(int(np.prod(shape)))
+                values *= np.sqrt(2.0 / fan_in)
                 kwargs[field_name] = values.reshape(shape).astype(dtype)
             elif field_name in ("bn_gamma", "bn_var"):
                 kwargs[field_name] = np.ones(shape, dtype=dtype)

@@ -249,6 +249,16 @@ def _model_from_name(name: str, mode: str) -> Model:
     return network.build_model(cfg, init="random", seed=0, mode=mode)
 
 
+def _positive_int(key: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigInvalidError(f"{key}: want a positive integer, got {text!r}")
+    return value
+
+
 def add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="plain-text 'key value' training config")
     parser.add_argument("--out", required=True, metavar="PATH", help="where to save the model")
@@ -264,7 +274,7 @@ def run_train(args: argparse.Namespace) -> int:
     try:
         fields = _parse_train_file(args.config)
         model_name = fields.pop("model", "toy_musicnn")
-        dataset_size = int(fields.pop("dataset_size", "10"))
+        dataset_size = _positive_int("dataset_size", fields.pop("dataset_size", "10"))
         config = parse_fields(TrainConfig, fields, defaults=True)
         if fields:
             raise ConfigInvalidError(f"unknown config keys: {', '.join(sorted(fields))}")

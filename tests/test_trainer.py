@@ -357,6 +357,14 @@ class TestTrainCli:
         assert "error: epochs" in capsys.readouterr().err
         assert not (tmp_path / "x.mcn").exists()
 
+    @pytest.mark.parametrize("value", ["-2", "0", "ten", "2.5"])
+    def test_bad_dataset_size_exits_one_naming_the_key(self, tmp_path, capsys, value):
+        config = self._config_file(tmp_path, f"model toy_musicnn\ndataset_size {value}\n")
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
+        assert code == 1
+        assert f"error: dataset_size: want a positive integer, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.mcn").exists()
+
     def test_values_parse_to_the_field_types(self, tmp_path, capsys, monkeypatch):
         seen = []
 
