@@ -1,10 +1,10 @@
 """Transfer-learning pipeline: clip embeddings -> PCA -> linear SVM.
 
 Both stages are small estimator classes in the familiar fit/transform/predict
-shape, with deterministic, hand-rolled numerics underneath:
+shape, with deterministic numerics underneath:
 
-  - PCA by one-sided Jacobi SVD with a fixed sweep order. No iterative
-    eigensolver, so two runs on the same matrix give the same bits.
+  - PCA by one LAPACK SVD (`np.linalg.svd`) of the centred data, with a sign
+    rule that makes each component independent of the signs LAPACK picks.
   - One-vs-rest squared-hinge SVM trained by full-batch gradient descent at
     the Lipschitz step size 1/L, which makes the objective provably
     non-increasing (and we assert that every epoch).
@@ -35,64 +35,6 @@ from .network import Model
 from .tagger import resolve_model
 from .validation import as_float_array, check_X_y, check_is_fitted
 
-_JACOBI_MAX_SWEEPS = 60
-
-
-def _jacobi_orthogonalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-multiply plane rotations until columns are orthogonal.
-
-    Returns (q, v) with m @ v == q, q's columns orthogonal. Column norms of q
-    are then singular values of m and v holds right singular vectors.
-    """
-    q = m.astype(np.float64, copy=True)
-    n_cols = q.shape[1]
-    v = np.eye(n_cols)
-    eps = np.finfo(np.float64).eps
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for i in range(n_cols - 1):
-            for j in range(i + 1, n_cols):
-                a = q[:, i] @ q[:, i]
-                b = q[:, j] @ q[:, j]
-                c = q[:, i] @ q[:, j]
-                if abs(c) <= eps * np.sqrt(a * b):
-                    continue
-                rotated = True
-                zeta = (b - a) / (2.0 * c)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                qi = q[:, i].copy()
-                q[:, i] = cs * qi - sn * q[:, j]
-                q[:, j] = sn * qi + cs * q[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = cs * vi - sn * v[:, j]
-                v[:, j] = sn * vi + cs * v[:, j]
-        if not rotated:
-            return q, v
-    raise NumericFaultError("Jacobi sweeps did not converge")
-
-
-def _svd_right_vectors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(singular values desc, right singular vectors as rows), via Jacobi.
-
-    For wide matrices the rotation work runs on x.T so the sweep cost scales
-    with the smaller dimension.
-    """
-    n, d = x.shape
-    if n >= d:
-        q, v = _jacobi_orthogonalize(x)
-        sigma = np.linalg.norm(q, axis=0)
-        rows = v.T
-    else:
-        q, _ = _jacobi_orthogonalize(x.T)  # q columns = (right svecs of x) * sigma
-        sigma = np.linalg.norm(q, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rows = np.where(sigma[:, None] > 0.0, q.T / sigma[:, None], 0.0)
-    order = np.argsort(-sigma, kind="mergesort")
-    return sigma[order], rows[order]
-
-
 class PrincipalComponents:
     """PCA onto the top `n_components` directions of the centered data.
 
@@ -103,16 +45,6 @@ class PrincipalComponents:
     def __init__(self, n_components: int = 128):
         self.n_components = n_components
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {"n_components": self.n_components}
-
-    def set_params(self, **params) -> "PrincipalComponents":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
     def fit(self, X, y=None) -> "PrincipalComponents":
         X = as_float_array(X, "X", ndim=2)
         n, d = X.shape
@@ -122,13 +54,13 @@ class PrincipalComponents:
         if not 1 <= k <= min(n, d):
             raise ValueError(f"n_components {k} outside 1..min(n={n}, d={d})")
         self.mean_ = X.mean(axis=0)
-        sigma, rows = _svd_right_vectors(X - self.mean_)
+        _, sigma, rows = np.linalg.svd(X - self.mean_, full_matrices=False)
         # singular values below the working-precision floor are rank loss,
         # not information; keeping their vectors would hand callers noise
-        tol = max(n, d) * np.finfo(np.float64).eps * (sigma[0] if len(sigma) else 0.0)
+        tol = max(n, d) * np.finfo(np.float64).eps * sigma[0]
         rank = int((sigma > tol).sum())
         self.rank_deficient_ = rank < k
-        self.n_components_ = min(k, rank) if rank else 0
+        self.n_components_ = min(k, rank)
         components = rows[: self.n_components_]
         for row in components:  # fix sign: largest-|entry| coordinate positive
             if row[np.argmax(np.abs(row))] < 0:
@@ -149,9 +81,6 @@ class PrincipalComponents:
         out = (X - self.mean_) @ self.components_.T
         return out[0] if single else out
 
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 class LinearSvmOneVsRest:
     """One-vs-rest linear SVM with the squared-hinge loss.
@@ -164,28 +93,21 @@ class LinearSvmOneVsRest:
     objective_history_ [C, epochs + 1].
     """
 
-    def __init__(self, reg_strength: float = 1e-3, epochs: int = 200, seed: int = 0):
+    def __init__(self, reg_strength: float = 1e-3, epochs: int = 200):
         self.reg_strength = reg_strength
         self.epochs = epochs
-        self.seed = seed
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"reg_strength": self.reg_strength, "epochs": self.epochs, "seed": self.seed}
-
-    def set_params(self, **params) -> "LinearSvmOneVsRest":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def _objective(self, X, t, w, b) -> float:
         margin = np.maximum(0.0, 1.0 - t * (X @ w + b))
         return 0.5 * self.reg_strength * (w @ w) + float(np.mean(margin**2))
 
     def fit(self, X, y) -> "LinearSvmOneVsRest":
-        if self.reg_strength <= 0 or self.epochs < 1:
-            raise ConfigInvalidError("reg_strength must be positive and epochs >= 1")
+        if not (np.isfinite(self.reg_strength) and self.reg_strength > 0):
+            raise ConfigInvalidError(
+                f"reg_strength must be finite and positive, got {self.reg_strength}"
+            )
+        if self.epochs < 1:
+            raise ConfigInvalidError(f"epochs must be >= 1, got {self.epochs}")
         X, y = check_X_y(X, y)
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
@@ -325,7 +247,13 @@ def run_pipeline(
     seed: int = 0,
     reduction: str = "mean",
 ) -> PipelineReport:
-    """Embed every clip, fit PCA + SVM on the train split, score both splits."""
+    """Embed every clip, fit PCA + SVM on the train split, score both splits.
+
+    The pipeline draws no random numbers: `seed` is accepted and changes
+    nothing.
+    """
+    if k < 1:
+        raise ConfigInvalidError(f"pca components must be >= 1, got {k}")
     train_rows = manifest.split("train")
     test_rows = manifest.split("test")
     if not train_rows or not test_rows:
@@ -358,7 +286,7 @@ def run_pipeline(
     z_train = pca.transform(x_train)
     z_test = pca.transform(x_test)
 
-    svm = LinearSvmOneVsRest(reg_strength=reg_strength, epochs=epochs, seed=seed)
+    svm = LinearSvmOneVsRest(reg_strength=reg_strength, epochs=epochs)
     svm.fit(z_train, y_train)
     train_accuracy = float(np.mean(svm.predict(z_train) == y_train))
     pred_test = svm.predict(z_test)
@@ -385,7 +313,6 @@ def add_transfer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-m", "--model", default="MTT_musicnn")
     parser.add_argument("--feature", default=None, help="trace key (default: deepest layer)")
     parser.add_argument("--pca", type=int, default=128)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument("--reg", type=float, default=1e-3)
     parser.add_argument("--confusion-out", metavar="PATH", help="also write the confusion CSV")
@@ -400,7 +327,6 @@ def run_transfer(args: argparse.Namespace) -> int:
             k=args.pca,
             reg_strength=args.reg,
             epochs=args.epochs,
-            seed=args.seed,
         )
     except (MeltagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """PCA and SVM estimators, the dataset manifest, and the transfer pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,15 @@ def _blobs(rng, centers, n_per, scale=0.1):
         xs.append(rng.normal(scale=scale, size=(n_per, len(center))) + center)
         ys.append(np.full(n_per, label))
     return np.concatenate(xs), np.concatenate(ys)
+
+
+def _planted(rng, n, spectrum, v):
+    """n rows whose centred matrix is exactly U diag(spectrum) V^T plus
+    rounding: U's columns are orthonormal and orthogonal to the ones vector,
+    so centring leaves them alone, and v's rows are the planted directions."""
+    u = rng.normal(size=(n, len(spectrum)))
+    u, _ = np.linalg.qr(u - u.mean(axis=0))
+    return (u * spectrum) @ v + rng.normal(size=v.shape[1])
 
 
 class TestPrincipalComponents:
@@ -144,12 +155,45 @@ class TestPrincipalComponents:
         with pytest.raises(ValueError):
             PrincipalComponents(n_components=0).fit(np.zeros((4, 3)))
 
-    def test_get_set_params(self):
-        pca = PrincipalComponents(n_components=7)
-        assert pca.get_params() == {"n_components": 7}
-        assert pca.set_params(n_components=2).n_components == 2
-        with pytest.raises(ValueError):
-            pca.set_params(whiten=True)
+    @pytest.mark.parametrize(
+        "n, d, rank, k",
+        [(200, 24, 24, 24), (40, 120, 39, 39), (16, 200, 15, 16)],
+        ids=["tall", "wide", "bench_shape_rank_deficient"],
+    )
+    def test_planted_spectrum_matches_the_gram_oracle(self, n, d, rank, k):
+        rng = np.random.default_rng(n * d)
+        spectrum = np.linspace(10.0, 3.0, rank)  # gaps of at least 0.18
+        v, _ = np.linalg.qr(rng.normal(size=(d, rank)))
+        x = _planted(rng, n, spectrum, v.T)
+        pca = PrincipalComponents(n_components=k).fit(x)
+        assert pca.n_components_ == rank
+        assert pca.rank_deficient_ == (rank < k)
+        xc = x - x.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(xc.T @ xc)
+        eigvals, eigvecs = eigvals[::-1][:rank], eigvecs[:, ::-1][:, :rank]
+        np.testing.assert_allclose(eigvals, spectrum**2, rtol=1e-9)
+        np.testing.assert_allclose(pca.singular_values_**2, eigvals, rtol=1e-9)
+        overlap = np.abs(np.sum(pca.components_ * eigvecs.T, axis=1))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
+
+    def test_sign_rule_fixes_each_component_whatever_the_solver_returns(self):
+        # largest-|entry| coordinate positive, for the data and its mirror image
+        v = np.array([[0.6, -0.8, 0.0], [-0.8, -0.6, 0.0], [0.0, 0.0, -1.0]])
+        want = np.array([[-0.6, 0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+        x = _planted(np.random.default_rng(13), 20, np.array([5.0, 3.0, 1.0]), v)
+        for data in (x, -x):
+            pca = PrincipalComponents(n_components=3).fit(data)
+            np.testing.assert_allclose(pca.components_, want, atol=1e-12)
+
+    def test_gtzan_sized_fit_finishes_quickly(self):
+        # the paper's transfer experiment: about 1,000 clips, 326-d embeddings,
+        # 128 components
+        x = np.random.default_rng(14).normal(size=(1000, 326))
+        started = time.perf_counter()
+        pca = PrincipalComponents(n_components=128).fit(x)
+        elapsed = time.perf_counter() - started
+        assert pca.n_components_ == 128
+        assert elapsed < 5.0, f"PCA fit took {elapsed:.2f} s"
 
 
 class TestLinearSvm:
@@ -224,12 +268,6 @@ class TestLinearSvm:
         svm = LinearSvmOneVsRest(epochs=200).fit(x, y)
         assert set(svm.predict(x)) == {"ambient", "metal"}
         assert (svm.predict(x) == y).all()
-
-    def test_get_set_params(self):
-        svm = LinearSvmOneVsRest(reg_strength=0.5, epochs=9, seed=3)
-        assert svm.get_params() == {"reg_strength": 0.5, "epochs": 9, "seed": 3}
-        with pytest.raises(ValueError):
-            svm.set_params(kernel="rbf")
 
 
 class TestManifest:
@@ -388,3 +426,29 @@ class TestTransferCli:
 
     def test_manifest_flag_required(self):
         assert cli.main(["transfer"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--pca", "0"),
+            ("--pca", "-3"),
+            ("--reg", "0"),
+            ("--reg", "nan"),
+            ("--reg", "inf"),
+            ("--epochs", "0"),
+        ],
+    )
+    def test_bad_hyperparameter_exits_one(self, tmp_path, wav_factory, capsys, flag, value):
+        manifest_path, model_path = self._setup(tmp_path, wav_factory)
+        code = cli.main(
+            ["transfer", "--manifest", str(manifest_path), "-m", str(model_path), flag, value]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and value in err
+        assert "Traceback" not in err
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        code = cli.main(["transfer", "--manifest", str(tmp_path / "m.csv"), "--seed", "3"])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
