@@ -1,7 +1,10 @@
 """The `meltag` entry point: tag / extract / transfer / train subcommands.
 
-Each subcommand's flags live next to its implementation; this module only
-assembles the parser and dispatches.
+Each subcommand's flags and its `run_*` function live next to its
+implementation; this module assembles the parser and dispatches. It is also
+the one place that reports failures: a MeltagError or OSError becomes one
+`error: ...` line on stderr and exit status 1, a usage error exits 2, and
+success exits 0.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import MeltagError
 from .extractor import add_extractor_args, run_extractor
 from .tagger import add_tagger_args, run_tagger
 from .trainer import add_train_args, run_train
@@ -42,9 +46,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    return args.run(args)
+    try:
+        args.run(args)
+    except (MeltagError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -71,6 +71,10 @@ class UnknownFeatureKeyError(MeltagError):
 
 # --- transfer learning / metrics ---
 
+class NotFittedError(MeltagError):
+    """Estimator method called before fit()."""
+
+
 class SingleClassError(MeltagError):
     """Classifier training needs at least two classes."""
 

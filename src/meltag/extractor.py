@@ -10,11 +10,10 @@ feature is stacked over patches on the leading axis.
 from __future__ import annotations
 
 import argparse
-import sys
 
 import numpy as np
 
-from .errors import ConfigInvalidError, MeltagError, UnknownFeatureKeyError
+from .errors import UnknownFeatureKeyError
 from .network import Model
 from .tagger import Taggram, infer_file, resolve_model
 
@@ -36,20 +35,30 @@ def extract(
     return taggram, model.tags, features
 
 
-def clip_embedding(features: FeatureSet, key: str, reduction: str = "mean") -> np.ndarray:
-    """One vector per clip: flatten each patch's feature, reduce across patches."""
+def _unknown_key(key: str, known) -> UnknownFeatureKeyError:
+    return UnknownFeatureKeyError(f"no feature {key!r}; available: {', '.join(sorted(known))}")
+
+
+def clip_embedding(features: FeatureSet, key: str) -> np.ndarray:
+    """One vector per clip: flatten each patch's feature, mean across patches."""
     if key not in features:
-        known = ", ".join(sorted(features))
-        raise UnknownFeatureKeyError(f"no feature {key!r}; available: {known}")
-    if reduction not in ("mean", "max"):
-        raise ConfigInvalidError(f"unknown reduction {reduction!r}")
-    flat = features[key].reshape(features[key].shape[0], -1)
-    return flat.mean(axis=0) if reduction == "mean" else flat.max(axis=0)
+        raise _unknown_key(key, features)
+    return features[key].reshape(features[key].shape[0], -1).mean(axis=0)
 
 
 def default_embedding_key(model: Model) -> str:
     """Deepest pre-output representation: penultimate (musicnn) / pool5 (vgg)."""
     return "pool5" if model.config.family == "vgg" else "penultimate"
+
+
+def resolve_feature_key(model: Model, key: str | None = None) -> str:
+    """`key`, or the deepest layer, checked against the model's forward trace
+    before any audio is decoded."""
+    known = model.config.trace_keys() - {"output"}
+    key = key or default_embedding_key(model)
+    if key not in known:
+        raise _unknown_key(key, known)
+    return key
 
 
 def write_feature_csv(feature: np.ndarray, path) -> None:
@@ -67,17 +76,8 @@ def add_extractor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, metavar="PATH", help="CSV destination")
 
 
-def run_extractor(args: argparse.Namespace) -> int:
-    try:
-        model = resolve_model(args.model)
-        _, _, features = extract(args.audio, model, extract_features=True)
-        key = args.feature or default_embedding_key(model)
-        if key not in features:
-            raise UnknownFeatureKeyError(
-                f"no feature {key!r}; available: {', '.join(sorted(features))}"
-            )
-        write_feature_csv(features[key], args.out)
-    except (MeltagError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def run_extractor(args: argparse.Namespace) -> None:
+    model = resolve_model(args.model)
+    key = resolve_feature_key(model, args.feature)
+    _, _, features = extract(args.audio, model, extract_features=True)
+    write_feature_csv(features[key], args.out)

@@ -14,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllColumnsDegenerateError, DegenerateLabelsError, NoPositivesError, NumericFaultError
-from .validation import as_float_array
+from .errors import (
+    AllColumnsDegenerateError, ConfigInvalidError, DegenerateLabelsError,
+    NoPositivesError, NumericFaultError, ShapeMismatchError,
+)
 
 
 def _finite_scores(scores, ndim: int) -> np.ndarray:
     """Scores as float64; a NaN has no rank and ±inf no place in a cut."""
-    s = as_float_array(scores, "scores", ndim=ndim)
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != ndim:
+        raise ShapeMismatchError(f"scores must be {ndim}-dimensional, got shape {s.shape}")
     bad = np.flatnonzero(~np.isfinite(s))
     if bad.size:
         raise NumericFaultError(f"scores hold non-finite {s.flat[bad[0]]} at flat index {bad[0]}")
@@ -30,10 +34,10 @@ def _finite_scores(scores, ndim: int) -> np.ndarray:
 def _binary_labels(labels, n: int, name: str = "labels") -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (n,):
-        raise ValueError(f"{name} has shape {y.shape}, want ({n},)")
+        raise ShapeMismatchError(f"{name} has shape {y.shape}, want ({n},)")
     y = y.astype(np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError(f"{name} must be binary 0/1")
+        raise ConfigInvalidError(f"{name} must be binary 0/1")
     return y
 
 
@@ -103,7 +107,7 @@ def macro_metrics(scores, labels) -> MacroMetrics:
     s = _finite_scores(scores, 2)
     y = np.asarray(labels)
     if y.shape != s.shape:
-        raise ValueError(f"labels shape {y.shape} != scores shape {s.shape}")
+        raise ShapeMismatchError(f"labels shape {y.shape} != scores shape {s.shape}")
     roc_values, roc_skipped = [], []
     pr_values, pr_skipped = [], []
     for col in range(s.shape[1]):

@@ -155,6 +155,15 @@ def parse_fields(cls, fields: dict[str, str], defaults: bool = False):
     return cls(**kwargs)
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file (train config, transfer manifest), line endings kept."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def save_model(model: Model, path: str | os.PathLike) -> None:
     """Write config, tags, and every tensor as little-endian float32."""
     tensors = model.tensors()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, network
-from .errors import MeltagError, TopNOutOfRangeError
+from .errors import TopNOutOfRangeError
 from .network import Model
 from .store import MODEL_NAMES, load_model, load_registry_model
 
@@ -96,30 +96,19 @@ def add_tagger_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--save", metavar="PATH", help="write the listing to a file")
 
 
-def run_tagger(args: argparse.Namespace) -> int:
-    try:
-        listing = format_listing(tag_file(args.audio, args.model, args.topN))
-    except (MeltagError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def run_tagger(args: argparse.Namespace) -> None:
+    listing = format_listing(tag_file(args.audio, args.model, args.topN))
     if args.print_listing:
         sys.stdout.write(listing)
     if args.save is not None:
         with open(args.save, "w", newline="") as fh:
             fh.write(listing)
-    return 0
 
 
 def cli(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="meltag-tagger", description="Rank the most likely tags for an audio file."
-    )
-    add_tagger_args(parser)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    return run_tagger(args)
+    from .cli import main  # imported here: meltag.cli imports this module
+
+    return main(["tag", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

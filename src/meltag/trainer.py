@@ -17,11 +17,10 @@ import numpy as np
 
 from . import network, ops
 from .dsp import DspConfig
-from .errors import ConfigInvalidError, MeltagError, NumericFaultError
+from .errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError
 from .network import Model, ModelConfig
 from .rng import SplitMix64
-from .store import parse_fields, registry_get, save_model
-from .validation import as_float_array
+from .store import parse_fields, read_text, registry_get, save_model
 
 EMA_MOMENTUM = 0.9
 
@@ -40,12 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         # learning_rate 0 is allowed on purpose: a no-op optimizer is the
         # cheapest way to pin "loss constant means updates really stopped"
-        if self.learning_rate < 0:
-            raise ConfigInvalidError("learning_rate must be non-negative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigInvalidError(f"learning_rate must be finite and non-negative, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigInvalidError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigInvalidError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigInvalidError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.batch_size < 1:
             raise ConfigInvalidError("batch_size must be at least 1")
         if self.epochs < 1:
@@ -133,7 +132,9 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         raise ConfigInvalidError(
             f"model mode {model.mode} != config mode {config.mode}; cast with model.astype()"
         )
-    x = as_float_array(patches, "patches", ndim=3).astype(model.dtype)
+    x = np.asarray(patches, dtype=np.float64).astype(model.dtype)
+    if x.ndim != 3:
+        raise ShapeMismatchError(f"patches must be [examples, frames, mels], got shape {x.shape}")
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (x.shape[0], model.config.n_tags):
         raise ConfigInvalidError(
@@ -222,17 +223,16 @@ _TOY_NAMES = ("toy_musicnn", "toy_musicnn_attention", "toy_vgg")
 
 def _parse_train_file(path) -> dict[str, str]:
     fields = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" ")
-            if not value:
-                raise ConfigInvalidError(f"{path}:{lineno}: want 'key value'")
-            if key in fields:
-                raise ConfigInvalidError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = value.strip()
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition(" ")
+        if not value:
+            raise ConfigInvalidError(f"{path}:{lineno}: want 'key value'")
+        if key in fields:
+            raise ConfigInvalidError(f"{path}:{lineno}: duplicate key {key!r}")
+        fields[key] = value.strip()
     return fields
 
 
@@ -265,29 +265,24 @@ def add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log", metavar="PATH", help="also write the CSV log to a file")
 
 
-def run_train(args: argparse.Namespace) -> int:
+def run_train(args: argparse.Namespace) -> None:
     """Train on a seeded synthetic dataset described by the config file.
 
     Recognized keys: model (registry name or toy_musicnn / toy_musicnn_attention
     / toy_vgg), dataset_size, plus any TrainConfig field.
     """
-    try:
-        fields = _parse_train_file(args.config)
-        model_name = fields.pop("model", "toy_musicnn")
-        dataset_size = _positive_int("dataset_size", fields.pop("dataset_size", "10"))
-        config = parse_fields(TrainConfig, fields, defaults=True)
-        if fields:
-            raise ConfigInvalidError(f"unknown config keys: {', '.join(sorted(fields))}")
-        model = _model_from_name(model_name, config.mode)
-        x, y = synthetic_dataset(model.config, dataset_size, seed=config.seed)
-        log = fit(model, x, y, config)
-        save_model(model, args.out)
-    except (MeltagError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    fields = _parse_train_file(args.config)
+    model_name = fields.pop("model", "toy_musicnn")
+    dataset_size = _positive_int("dataset_size", fields.pop("dataset_size", "10"))
+    config = parse_fields(TrainConfig, fields, defaults=True)
+    if fields:
+        raise ConfigInvalidError(f"unknown config keys: {', '.join(sorted(fields))}")
+    model = _model_from_name(model_name, config.mode)
+    x, y = synthetic_dataset(model.config, dataset_size, seed=config.seed)
+    log = fit(model, x, y, config)
+    save_model(model, args.out)
     csv_text = log.to_csv()
     sys.stdout.write(csv_text)
     if args.log:
         with open(args.log, "w", newline="") as fh:
             fh.write(csv_text)
-    return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import dataclass
@@ -25,15 +26,25 @@ import numpy as np
 
 from .errors import (
     ConfigInvalidError,
-    MeltagError,
+    NotFittedError,
     NumericFaultError,
     ShapeMismatchError,
     SingleClassError,
 )
-from .extractor import clip_embedding, default_embedding_key, extract
+from .extractor import clip_embedding, extract, resolve_feature_key
 from .network import Model
+from .store import read_text
 from .tagger import resolve_model
-from .validation import as_float_array, check_X_y, check_is_fitted
+
+
+def _matrix(X, n_features: int | None = None) -> np.ndarray:
+    """X as a C-contiguous float64 [samples, features] matrix, `n_features` wide if given."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or n_features not in (None, X.shape[1]):
+        want = "features" if n_features is None else n_features
+        raise ShapeMismatchError(f"want a [samples, {want}] matrix, got shape {X.shape}")
+    return X
+
 
 class PrincipalComponents:
     """PCA onto the top `n_components` directions of the centered data.
@@ -46,13 +57,13 @@ class PrincipalComponents:
         self.n_components = n_components
 
     def fit(self, X, y=None) -> "PrincipalComponents":
-        X = as_float_array(X, "X", ndim=2)
+        X = _matrix(X)
         n, d = X.shape
         if n < 2:
-            raise ValueError("PCA needs at least 2 samples")
+            raise ConfigInvalidError(f"PCA needs at least 2 samples, got {n}")
         k = self.n_components
         if not 1 <= k <= min(n, d):
-            raise ValueError(f"n_components {k} outside 1..min(n={n}, d={d})")
+            raise ConfigInvalidError(f"n_components {k} outside 1..min(n={n}, d={d})")
         self.mean_ = X.mean(axis=0)
         _, sigma, rows = np.linalg.svd(X - self.mean_, full_matrices=False)
         # singular values below the working-precision floor are rank loss,
@@ -70,16 +81,9 @@ class PrincipalComponents:
         return self
 
     def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, "components_")
-        X = as_float_array(X, "X")
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.mean_.shape[0]:
-            raise ShapeMismatchError(
-                f"{X.shape[1]} features, PCA was fitted on {self.mean_.shape[0]}"
-            )
-        out = (X - self.mean_) @ self.components_.T
-        return out[0] if single else out
+        if not hasattr(self, "components_"):
+            raise NotFittedError("PrincipalComponents is not fitted yet; call fit() first")
+        return (_matrix(X, self.components_.shape[1]) - self.mean_) @ self.components_.T
 
 
 class LinearSvmOneVsRest:
@@ -94,6 +98,10 @@ class LinearSvmOneVsRest:
     """
 
     def __init__(self, reg_strength: float = 1e-3, epochs: int = 200):
+        if not (np.isfinite(reg_strength) and reg_strength > 0):
+            raise ConfigInvalidError(f"reg_strength must be finite and positive, got {reg_strength}")
+        if epochs < 1:
+            raise ConfigInvalidError(f"epochs must be >= 1, got {epochs}")
         self.reg_strength = reg_strength
         self.epochs = epochs
 
@@ -102,13 +110,9 @@ class LinearSvmOneVsRest:
         return 0.5 * self.reg_strength * (w @ w) + float(np.mean(margin**2))
 
     def fit(self, X, y) -> "LinearSvmOneVsRest":
-        if not (np.isfinite(self.reg_strength) and self.reg_strength > 0):
-            raise ConfigInvalidError(
-                f"reg_strength must be finite and positive, got {self.reg_strength}"
-            )
-        if self.epochs < 1:
-            raise ConfigInvalidError(f"epochs must be >= 1, got {self.epochs}")
-        X, y = check_X_y(X, y)
+        X, y = _matrix(X), np.asarray(y)
+        if y.shape != (X.shape[0],):
+            raise ShapeMismatchError(f"want {X.shape[0]} labels, got shape {y.shape}")
         self.classes_ = np.unique(y)
         if len(self.classes_) < 2:
             raise SingleClassError("need at least two classes to fit a classifier")
@@ -143,22 +147,13 @@ class LinearSvmOneVsRest:
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        check_is_fitted(self, "weights_")
-        X = as_float_array(X, "X")
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
-        if X.shape[1] != self.weights_.shape[1]:
-            raise ShapeMismatchError(
-                f"{X.shape[1]} features, SVM was fitted on {self.weights_.shape[1]}"
-            )
-        scores = X @ self.weights_.T + self.biases_
-        return scores[0] if single else scores
+        if not hasattr(self, "weights_"):
+            raise NotFittedError("LinearSvmOneVsRest is not fitted yet; call fit() first")
+        return _matrix(X, self.weights_.shape[1]) @ self.weights_.T + self.biases_
 
     def predict(self, X) -> np.ndarray:
-        scores = np.atleast_2d(self.decision_function(X))
-        idx = scores.argmax(axis=1)  # argmax takes the lowest index on ties
-        out = self.classes_[idx]
-        return out[0] if np.asarray(X).ndim == 1 else out
+        scores = self.decision_function(X)  # first, so an unfitted model raises NotFittedError
+        return self.classes_[scores.argmax(axis=1)]  # argmax takes the lowest index on ties
 
 
 # --- dataset manifest and the end-to-end pipeline ------------------------------
@@ -185,18 +180,19 @@ def load_manifest(path) -> DatasetManifest:
     manifest's own directory unless absolute."""
     base = os.path.dirname(os.path.abspath(path))
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"path", "label", "split"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ConfigInvalidError(f"manifest needs columns {sorted(required)}")
-        for record in reader:
-            if record["split"] not in ("train", "test"):
-                raise ConfigInvalidError(f"bad split {record['split']!r} (want train/test)")
-            audio = record["path"]
-            if not os.path.isabs(audio):
-                audio = os.path.join(base, audio)
-            rows.append(ManifestRow(path=audio, label=record["label"], split=record["split"]))
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    required = {"path", "label", "split"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ConfigInvalidError(f"manifest needs columns {sorted(required)}")
+    for record in reader:
+        if record["split"] not in ("train", "test"):
+            raise ConfigInvalidError(f"bad split {record['split']!r} (want train/test)")
+        if "\0" in record["path"]:
+            raise ConfigInvalidError(f"{path}:{reader.line_num}: NUL byte in path")
+        audio = record["path"]
+        if not os.path.isabs(audio):
+            audio = os.path.join(base, audio)
+        rows.append(ManifestRow(path=audio, label=record["label"], split=record["split"]))
     if not rows:
         raise ConfigInvalidError("manifest has no rows")
     labels = tuple(sorted({r.label for r in rows}))
@@ -245,26 +241,29 @@ def run_pipeline(
     reg_strength: float = 1e-3,
     epochs: int = 200,
     seed: int = 0,
-    reduction: str = "mean",
 ) -> PipelineReport:
     """Embed every clip, fit PCA + SVM on the train split, score both splits.
 
-    The pipeline draws no random numbers: `seed` is accepted and changes
-    nothing.
+    Every argument is checked before the first clip is decoded. The pipeline
+    draws no random numbers: `seed` is accepted and changes nothing.
     """
     if k < 1:
         raise ConfigInvalidError(f"pca components must be >= 1, got {k}")
+    svm = LinearSvmOneVsRest(reg_strength=reg_strength, epochs=epochs)
     train_rows = manifest.split("train")
     test_rows = manifest.split("test")
-    if not train_rows or not test_rows:
-        raise ConfigInvalidError("pipeline needs non-empty train and test splits")
-    key = feature_key or default_embedding_key(model)
+    if len(train_rows) < 2 or not test_rows:
+        n_train, n_test = len(train_rows), len(test_rows)
+        raise ConfigInvalidError(f"pipeline needs 2+ train rows and 1+ test rows, got {n_train} and {n_test}")
+    if len({r.label for r in train_rows}) < 2:
+        raise SingleClassError("every train row has the same label; need at least two classes")
+    key = resolve_feature_key(model, feature_key)
 
     def embed(rows) -> np.ndarray:
         vecs = []
         for row in rows:
             _, _, features = extract(row.path, model, extract_features=True)
-            vecs.append(clip_embedding(features, key, reduction))
+            vecs.append(clip_embedding(features, key))
         return np.stack(vecs)
 
     x_train = embed(train_rows)
@@ -286,7 +285,6 @@ def run_pipeline(
     z_train = pca.transform(x_train)
     z_test = pca.transform(x_test)
 
-    svm = LinearSvmOneVsRest(reg_strength=reg_strength, epochs=epochs)
     svm.fit(z_train, y_train)
     train_accuracy = float(np.mean(svm.predict(z_train) == y_train))
     pred_test = svm.predict(z_test)
@@ -318,21 +316,16 @@ def add_transfer_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--confusion-out", metavar="PATH", help="also write the confusion CSV")
 
 
-def run_transfer(args: argparse.Namespace) -> int:
-    try:
-        report = run_pipeline(
-            load_manifest(args.manifest),
-            resolve_model(args.model),
-            feature_key=args.feature,
-            k=args.pca,
-            reg_strength=args.reg,
-            epochs=args.epochs,
-        )
-    except (MeltagError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def run_transfer(args: argparse.Namespace) -> None:
+    report = run_pipeline(
+        load_manifest(args.manifest),
+        resolve_model(args.model),
+        feature_key=args.feature,
+        k=args.pca,
+        reg_strength=args.reg,
+        epochs=args.epochs,
+    )
     sys.stdout.write(report.as_text())
     if args.confusion_out:
         with open(args.confusion_out, "w", newline="") as fh:
             fh.write(report.confusion_csv())
-    return 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meltag import cli, extractor
-from meltag.errors import ConfigInvalidError, UnknownFeatureKeyError
+from meltag.errors import UnknownFeatureKeyError
 from meltag.extractor import clip_embedding, default_embedding_key, extract, write_feature_csv
 from meltag.network import build_model
 from meltag.store import save_model
@@ -91,11 +91,6 @@ class TestClipEmbedding:
             clip_embedding(self._features(), "penultimate"), [2.0, 4.0]
         )
 
-    def test_max_reduction(self):
-        np.testing.assert_array_equal(
-            clip_embedding(self._features(), "penultimate", reduction="max"), [3.0, 5.0]
-        )
-
     def test_multiaxis_features_are_flattened_per_patch(self):
         features = {"pool1": np.arange(12.0).reshape(2, 3, 2)}
         got = clip_embedding(features, "pool1")
@@ -104,10 +99,6 @@ class TestClipEmbedding:
     def test_unknown_key(self):
         with pytest.raises(UnknownFeatureKeyError):
             clip_embedding(self._features(), "pool9")
-
-    def test_unknown_reduction(self):
-        with pytest.raises(ConfigInvalidError):
-            clip_embedding(self._features(), "penultimate", reduction="median")
 
     def test_embedding_length_from_a_real_model(self, tiny_wav):
         model = build_model(tiny_musicnn(), seed=5)

@@ -7,9 +7,11 @@ import pytest
 
 from meltag.errors import (
     AllColumnsDegenerateError,
+    ConfigInvalidError,
     DegenerateLabelsError,
     NoPositivesError,
     NumericFaultError,
+    ShapeMismatchError,
 )
 from meltag.metrics import _tied_ranks, macro_metrics, pr_auc, roc_auc
 
@@ -72,11 +74,11 @@ class TestRocAuc:
             roc_auc([0.1, 0.2], [0, 0])
 
     def test_non_binary_labels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigInvalidError):
             roc_auc([0.1, 0.2], [1, 2])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             roc_auc([0.1, 0.2, 0.3], [1, 0])
 
     def test_matches_pair_enumeration(self):
@@ -194,7 +196,7 @@ class TestMacroMetrics:
             macro_metrics(s, np.zeros((2, 2)))  # no positives: PR empty
 
     def test_label_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             macro_metrics(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
