@@ -1,6 +1,11 @@
 """Architecture graphs: shape algebra, trace contracts, and exact gradients."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,6 +560,77 @@ class TestCacheLayout:
         for key in sorted(got):
             assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _gradient_digest(model, patches, bn_mode):
+    """sha256 over the logits and every backward_batch gradient, in key order."""
+    logits, _, cache = forward_batch(patches, model, bn_mode=bn_mode)
+    r = np.random.default_rng(1).normal(size=logits.shape)
+    grads = network.backward_batch(model, cache, r)
+    h = hashlib.sha256(logits.tobytes())
+    for key in sorted(grads):
+        h.update(key.encode())
+        h.update(grads[key].tobytes())
+    return h.hexdigest()
+
+
+def _registry_digest(name):
+    model = store.load_registry_model(name)
+    patches, _ = trainer.synthetic_dataset(model.config, 2, seed=2)
+    return _gradient_digest(model, patches, "train")
+
+
+# Pinned on x86-64 with OpenBLAS; a BLAS with other kernels may round the
+# conv and dense products differently.
+TOY_GRADIENT_SHA256 = {
+    ("musicnn", "temporal_pooling", "infer", "float32"): "0c6b59a9281e492793c9a6cad3bccc21a11a471e9511e4925f90ed4bdca25cc9",
+    ("musicnn", "temporal_pooling", "infer", "float64"): "0a3188fbe6ed5771c0db87df13626fb58c426b57bdc3dd8502309d674d14d66f",
+    ("musicnn", "temporal_pooling", "train", "float32"): "e17d642020d9bd922b23e989378c64d3a3244dcd7c200a730dd000133b6e74f2",
+    ("musicnn", "temporal_pooling", "train", "float64"): "725582b1353a4ebba0cc03eb5465ce4d6a59108ffd66055192c7ca784742f258",
+    ("musicnn", "attention", "infer", "float32"): "edff6f4c7fb27b472dcd0fe39c3006d38281b9a4ac695149e44241dec111bd4a",
+    ("musicnn", "attention", "infer", "float64"): "e6b06b587f3ad613090aaf123ea8f71d8ff3458832600cff47b278e07210c1f3",
+    ("musicnn", "attention", "train", "float32"): "199577c8f438d04a5171047c9c2de08751692c807b21366c9cc4afe2bf5c8f7f",
+    ("musicnn", "attention", "train", "float64"): "978615ae27101180d2692b0769fbd25ad3d6f822a42560db23ca02c503691a2a",
+    ("vgg", "temporal_pooling", "infer", "float32"): "3cdabe1cf833db19207465916f60712901207c0204e6b1b9b906dc780ed48fee",
+    ("vgg", "temporal_pooling", "infer", "float64"): "5a22b4704a45362980121b00b22714768053756bb80f97fb536590411c716ece",
+    ("vgg", "temporal_pooling", "train", "float32"): "5befedff74e8bf6f4be71664f4ffa5b1111a10180061a86dafcebb50e3e6ea46",
+    ("vgg", "temporal_pooling", "train", "float64"): "5ceb25c64c57d752707fe74f34da8171f952c6195ff9689c4e8fca310242fd95",
+}
+# OpenBLAS splits the registry models' products across threads in a way that
+# moves their bits, so these are pinned on one thread.
+REGISTRY_GRADIENT_SHA256 = {
+    "MTT_musicnn": "4508c44c7c6bf26b434dafcb24af42a50d0558a165a392d86fc16e9b54fce78a",
+    "MTT_vgg": "30bff34df16e3bde958a90b04490073925f661b3161c4252cfddefb095932567",
+}
+
+
+class TestGradientBits:
+    """Gradient values pinned across commits: a refactor of the backward
+    must reproduce every bit, not only pass the finite-difference checks."""
+
+    @pytest.mark.parametrize("mode", ["float32", "float64"])
+    @pytest.mark.parametrize("bn_mode", ["infer", "train"])
+    @pytest.mark.parametrize(
+        "family, backend",
+        [("musicnn", "temporal_pooling"), ("musicnn", "attention"), ("vgg", "temporal_pooling")],
+    )
+    def test_toy_gradients_keep_their_bits(self, family, backend, bn_mode, mode):
+        cfg = trainer.toy_model_config(family, backend)
+        model = build_model(cfg, seed=23, mode=mode)
+        _random_bn(model, 6)
+        patches, _ = trainer.synthetic_dataset(cfg, 4, seed=2)
+        digest = _gradient_digest(model, patches, bn_mode)
+        assert digest == TOY_GRADIENT_SHA256[(family, backend, bn_mode, mode)]
+
+    @pytest.mark.parametrize("name", ["MTT_musicnn", "MTT_vgg"])
+    def test_registry_train_gradients_keep_their_bits(self, name):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        code = "import sys, test_network; print(test_network._registry_digest(sys.argv[1]))"
+        child = subprocess.run(
+            [sys.executable, "-c", code, name],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, check=True,
+        )
+        assert child.stdout.strip() == REGISTRY_GRADIENT_SHA256[name]
 
 
 class TestInferMemory:
