@@ -23,12 +23,16 @@ Conv outputs, and the maps built from them, are width-major views (see
 `ops`). The ops that would sum them in memory order copy to C order first,
 so this module never deals with layout.
 
-`backward_batch` mirrors it and returns one gradient array per parameter
-tensor. The ops already sum each gradient over the batch in example index
-order, so this module only routes gradients between layers. After an infer
-forward it rebuilds the full relu maps from the cached conv outputs. In
-inference mode the running bn statistics receive exact gradients too, which
-lets the whole-network gradient check cover every stored tensor.
+The forward records a tape: one (rule, input_slots, layer, saved, out_shape)
+entry per step -- a conv-bn-relu[-pool] block, bn, dense, relu, concat,
+residual add, mean over an axis, or a back end. Slot i is entry i's output;
+None is the input batch. `backward_batch` runs the tape in reverse and
+returns one gradient array per parameter tensor; a value read by several
+steps gets their gradients summed in recording order. The ops already sum
+over the batch in example index order. After an infer forward the block
+rule rebuilds the full relu map from the cached conv output. In inference
+mode the running bn statistics receive exact gradients too, which lets the
+whole-network gradient check cover every stored tensor.
 """
 
 from __future__ import annotations
@@ -349,7 +353,12 @@ def build_model(
     return Model(config=config, params=params, tags=tuple(tags), mode=mode)
 
 
-# --- forward / backward -----------------------------------------------------
+# --- the tape: forward steps and their backward rules --------------------------
+
+
+def _record(tape: list, rule, inputs: tuple, layer, saved, out: np.ndarray) -> tuple[np.ndarray, int]:
+    tape.append((rule, inputs, layer, saved, out.shape))
+    return out, len(tape) - 1
 
 
 def _store(grads: dict, layer: LayerParams, **values: np.ndarray | None) -> None:
@@ -364,22 +373,25 @@ def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -
     if bn_mode == "train":
         out, mean, var, bn_cache = ops.batchnorm_train(xs, layer, BN_EPSILON)
         cache["bn_cache"] = bn_cache
-        cache["bn_stats"] = (layer.name, mean, var)
+        cache["bn_stats"] = (mean, var)
         return out
     cache["bn_input"] = xs
     return ops.batchnorm_infer(xs, layer, BN_EPSILON)
 
 
-def _bn_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
-) -> np.ndarray:
+def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
     if "bn_cache" in cache:
-        grad_x, g_gamma, g_beta = ops.batchnorm_train_backward(layer, cache["bn_cache"], grad_out)
+        grad_x, g_gamma, g_beta = ops.batchnorm_train_backward(layer, cache["bn_cache"], grad)
         _store(grads, layer, bn_gamma=g_gamma, bn_beta=g_beta)
-        return grad_x
-    grad_x, gg, gb, gm, gv = ops.batchnorm_infer_backward(cache["bn_input"], layer, grad_out, BN_EPSILON)
+        return (grad_x,)
+    grad_x, gg, gb, gm, gv = ops.batchnorm_infer_backward(cache["bn_input"], layer, grad, BN_EPSILON)
     _store(grads, layer, bn_gamma=gg, bn_beta=gb, bn_mean=gm, bn_var=gv)
-    return grad_x
+    return (grad_x,)
+
+
+def _bn(tape: list, src, xs: np.ndarray, layer: LayerParams, bn_mode: str) -> tuple[np.ndarray, int]:
+    cache: dict = {}
+    return _record(tape, _bn_rule, (src,), layer, cache, _bn_forward(xs, layer, bn_mode, cache))
 
 
 def _conv_bn_relu_forward(
@@ -401,88 +413,126 @@ def _conv_bn_relu_forward(
     return ops.relu(h, out=h)
 
 
-def _relu_out(layer: LayerParams, cache: dict) -> np.ndarray:
-    """The block's full relu map, rebuilt after an infer forward pooled first."""
-    if "relu_out" not in cache:
+def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
+    if "relu_out" not in cache:  # an infer forward pooled first: rebuild the full relu map
         h = cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer, BN_EPSILON)
         ops.relu(h, out=h)
-    return cache["relu_out"]
-
-
-def _conv_bn_relu_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
-) -> np.ndarray:
-    grad_bn = ops.relu_backward(_relu_out(layer, cache), grad_out)
-    grad_conv = _bn_backward(layer, cache, grad_bn, grads)
+    if cache["pool_backward"] is not None:
+        grad = cache["pool_backward"](cache["relu_out"], grad)
+    (grad_conv,) = _bn_rule(ops.relu_backward(cache["relu_out"], grad), layer, cache, grads)
     grad_x, gw, gb = ops.conv2d_backward(cache["x"], layer, grad_conv, *cache["pad"])
     _store(grads, layer, weights=gw, bias=gb)
-    return grad_x
+    return (grad_x,)
 
 
-def _dense_backward(
-    layer: LayerParams, cache: dict, grad_out: np.ndarray, grads: dict
-) -> np.ndarray:
-    """Backward of ops.dense over the batch whose input the forward cached."""
-    grad_x, gw, gb = ops.dense_backward(cache["x"], layer, grad_out)
+def _block(
+    tape: list, src, xs: np.ndarray, layer: LayerParams, pad: tuple, bn_mode: str, pools=(None, None)
+) -> tuple[np.ndarray, int]:
+    """One conv-bn-relu[-pool] block as a single tape entry; pools is (forward, backward)."""
+    cache = {"pool_backward": pools[1]}
+    h = _conv_bn_relu_forward(xs, layer, *pad, bn_mode, cache, pools[0])
+    return _record(tape, _block_rule, (src,), layer, cache, h)
+
+
+def _pools(pool, pool_backward, *args) -> tuple:
+    """(forward, backward) of an ops pool, its arguments bound now rather than when called."""
+    return lambda z: pool(z, *args), lambda r, g: pool_backward(r, *args, g)
+
+
+def _dense_rule(grad: np.ndarray, layer: LayerParams, x: np.ndarray, grads: dict) -> tuple:
+    grad_x, gw, gb = ops.dense_backward(x, layer, grad)
     _store(grads, layer, weights=gw, bias=gb)
-    return grad_x
+    return (grad_x,)
+
+
+def _dense(tape: list, node: tuple, layer: LayerParams) -> tuple[np.ndarray, int]:
+    x, src = node
+    return _record(tape, _dense_rule, (src,), layer, x, ops.dense(x, layer))
+
+
+def _relu_rule(grad: np.ndarray, layer, pre_relu: np.ndarray, grads: dict) -> tuple:
+    return (ops.relu_backward(pre_relu, grad),)
+
+
+def _add_rule(grad: np.ndarray, layer, saved, grads: dict) -> tuple:
+    return (grad, grad)
+
+
+def _concat_rule(grad: np.ndarray, layer, bounds: list, grads: dict) -> list:
+    return [grad[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _concat(tape: list, nodes: list) -> tuple[np.ndarray, int]:
+    """Concatenate (value, slot) pairs over the channel axis."""
+    values, slots = zip(*nodes)
+    bounds = [0]
+    for value in values:
+        bounds.append(bounds[-1] + value.shape[1])
+    return _record(tape, _concat_rule, slots, None, bounds, np.concatenate(values, axis=1))
+
+
+def _mean_rule(grad: np.ndarray, layer, saved: tuple, grads: dict) -> tuple:
+    shape, axis = saved
+    return (ops.pool_mean_over_axis_backward(shape, axis, grad),)
+
+
+def _pooling_rule(grad: np.ndarray, layer, stack: np.ndarray, grads: dict) -> tuple:
+    """The temporal-pooling back end: mean and max of the stack over time."""
+    c_stack = stack.shape[1]
+    grad_stack = ops.pool_mean_over_axis_backward(stack.shape, 2, grad[:, :c_stack])
+    return (grad_stack + ops.pool_max_over_axis_backward(stack, 2, grad[:, c_stack:]),)
+
+
+def _attention_rule(grad_ctx: np.ndarray, att: LayerParams, saved: tuple, grads: dict) -> tuple:
+    stack, weights = saved
+    grad_weights = np.einsum("bn,bnt->bt", grad_ctx, stack)
+    grad_stack = np.einsum("bt,bn->bnt", weights, grad_ctx)
+    grad_scores = ops.softmax_backward(weights, grad_weights, axis=1)
+    grads[f"{att.name}.weights"] = np.einsum("bt,bnt->n", grad_scores, stack)[None, :]
+    grads[f"{att.name}.bias"] = np.atleast_1d(grad_scores.sum())
+    return (grad_stack + np.einsum("bt,n->bnt", grad_scores, att.weights[0]),)
 
 
 # --- musicnn ---------------------------------------------------------------
 
 
-def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.ndarray, dict, dict]:
+def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> tuple[np.ndarray, dict]:
     cfg = model.config
-    b, _, t, m = xs.shape
-    cache: dict = {"input": {}}
-    x = _bn_forward(xs, model.layer("input_bn"), bn_mode, cache["input"])
+    x, x_slot = _bn(tape, None, xs, model.layer("input_bn"), bn_mode)
 
     # timbral: tall kernels, relu, then a global max over what is left of
     # the frequency axis -- detectors fire wherever their shape appears in
     # frequency, which is the pitch-invariance premise of this front end
-    timbral_parts = []
-    for i, frac in enumerate(cfg.timbral_filter_heights):
-        layer = model.layer(f"timbral_{i}")
-        c = cache[f"timbral_{i}"] = {}
-        h = _conv_bn_relu_forward(x, layer, 3, 0, bn_mode, c, lambda z: ops.pool_max_over_axis(z, 3))
-        timbral_parts.append(h)  # [B, C, T]
-    timbral = np.concatenate(timbral_parts, axis=1)
+    pools = _pools(ops.pool_max_over_axis, ops.pool_max_over_axis_backward, 3)
+    timbral, timbral_slot = _concat(tape, [  # [B, C, T]
+        _block(tape, x_slot, x, model.layer(f"timbral_{i}"), (3, 0), bn_mode, pools)
+        for i in range(len(cfg.timbral_filter_heights))
+    ])
 
     # temporal: mean over frequency first, so the horizontal kernels see an
     # energy envelope rather than individual bands
-    env = ops.pool_mean_over_axis(x, axis=3)[..., None]  # [B, 1, T, 1]
-    cache["env_input_shape"] = x.shape
-    temporal_parts = []
-    for i, length in enumerate(cfg.temporal_filter_lengths):
-        layer = model.layer(f"temporal_{i}")
-        c = cache[f"temporal_{i}"] = {}
-        h = _conv_bn_relu_forward(env, layer, (length - 1) // 2, 0, bn_mode, c)
-        temporal_parts.append(h[..., 0])  # [B, C, T]
-    temporal = np.concatenate(temporal_parts, axis=1)
+    env, env_slot = _record(tape, _mean_rule, (x_slot,), None, (x.shape, 3), ops.pool_mean_over_axis(x, 3))
+    env = env[..., None]  # [B, 1, T, 1]
+    temporal, temporal_slot = _concat(tape, [
+        _block(tape, env_slot, env, model.layer(f"temporal_{i}"), ((length - 1) // 2, 0), bn_mode)
+        for i, length in enumerate(cfg.temporal_filter_lengths)
+    ])
+    temporal = temporal[..., 0]  # [B, C, T]
 
-    front = np.concatenate([timbral, temporal], axis=1)  # [B, C_front, T]
+    front, front_slot = _concat(tape, [(timbral, timbral_slot), (temporal, temporal_slot)])  # [B, C_front, T]
+    trace = {"timbral": timbral, "temporal": temporal}
 
-    pad = (cfg.midend_kernel - 1) // 2
-    mid_in = front[..., None]
-    mids = []
+    pad = ((cfg.midend_kernel - 1) // 2, 0)
+    stack_parts = [(front, front_slot)]
+    mid_in, mid_slot = front[..., None], front_slot
     for i in (1, 2, 3):
-        c = cache[f"midend_{i}"] = {}
-        h = _conv_bn_relu_forward(mid_in, model.layer(f"midend_{i}"), pad, 0, bn_mode, c)
-        if i > 1:
-            h = h + mid_in  # residual over the previous map
-        mids.append(h)
-        mid_in = h
-    cnn1, cnn2, cnn3 = (h[..., 0] for h in mids)
-
-    stack = np.concatenate([front, cnn1, cnn2, cnn3], axis=1)  # [B, C_stack, T]
-    trace = {
-        "timbral": timbral,
-        "temporal": temporal,
-        "cnn1": cnn1,
-        "cnn2": cnn2,
-        "cnn3": cnn3,
-    }
-    cache["split"] = (timbral.shape[1], cfg.frontend_channels)
+        h, slot = _block(tape, mid_slot, mid_in, model.layer(f"midend_{i}"), pad, bn_mode)
+        if i > 1:  # residual over the previous map
+            h, slot = _record(tape, _add_rule, (slot, mid_slot), None, None, h + mid_in)
+        trace[f"cnn{i}"] = h[..., 0]
+        stack_parts.append((trace[f"cnn{i}"], slot))
+        mid_in, mid_slot = h, slot
+    stack, stack_slot = _concat(tape, stack_parts)  # [B, C_stack, T]
 
     if cfg.backend == "attention":
         att = model.layer("attention_dense")
@@ -490,139 +540,39 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.nda
         scores = np.einsum("n,bnt->bt", att.weights[0], stack) + att.bias[0]
         weights = ops.softmax_over_axis(scores, axis=1)  # [B, T]
         context = np.einsum("bt,bnt->bn", weights, stack)
-        cache["attention"] = {"stack": stack, "weights": weights}
         trace["attention_weights"] = weights
         trace["context"] = context
-        pooled = context
+        pooled = _record(tape, _attention_rule, (stack_slot,), att, (stack, weights), context)
     else:
-        mean_pool = ops.pool_mean_over_axis(stack, axis=2)  # [B, C_stack]
-        max_pool = ops.pool_max_over_axis(stack, axis=2)
-        cache["pooling"] = {"stack": stack}
-        trace["mean_pool"] = mean_pool
-        trace["max_pool"] = max_pool
-        pooled = np.concatenate([mean_pool, max_pool], axis=1)
+        trace["mean_pool"] = ops.pool_mean_over_axis(stack, axis=2)  # [B, C_stack]
+        trace["max_pool"] = ops.pool_max_over_axis(stack, axis=2)
+        pooled = np.concatenate([trace["mean_pool"], trace["max_pool"]], axis=1)
+        pooled = _record(tape, _pooling_rule, (stack_slot,), None, stack, pooled)
 
     pen_layer = model.layer("penultimate_dense")
-    c = cache["penultimate"] = {"x": pooled}
-    pen_lin = ops.dense(pooled, pen_layer)
-    pen_bn = _bn_forward(pen_lin, pen_layer, bn_mode, c)
-    c["pre_relu"] = pen_bn
-    penultimate = ops.relu(pen_bn)
-    trace["penultimate"] = penultimate
+    pen_lin, slot = _dense(tape, pooled, pen_layer)
+    pen_bn, slot = _bn(tape, slot, pen_lin, pen_layer, bn_mode)
+    trace["penultimate"] = ops.relu(pen_bn)
+    penultimate = _record(tape, _relu_rule, (slot,), None, pen_bn, trace["penultimate"])
 
-    cache["output"] = {"x": penultimate}
-    logits = ops.dense(penultimate, model.layer("output_dense"))
-    return logits, trace, cache
-
-
-def _musicnn_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    cfg = model.config
-    grads: dict[str, np.ndarray] = {}
-    grad_pen = _dense_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
-
-    pen_layer = model.layer("penultimate_dense")
-    c = cache["penultimate"]
-    grad_bn = ops.relu_backward(c["pre_relu"], grad_pen)
-    grad_lin = _bn_backward(pen_layer, c, grad_bn, grads)
-    grad_pooled = _dense_backward(pen_layer, c, grad_lin, grads)
-
-    if cfg.backend == "attention":
-        att = model.layer("attention_dense")
-        stack = cache["attention"]["stack"]
-        weights = cache["attention"]["weights"]
-        grad_ctx = grad_pooled  # [B, C_stack]
-        grad_weights = np.einsum("bn,bnt->bt", grad_ctx, stack)
-        grad_stack = np.einsum("bt,bn->bnt", weights, grad_ctx)
-        grad_scores = ops.softmax_backward(weights, grad_weights, axis=1)
-        grads[f"{att.name}.weights"] = np.einsum("bt,bnt->n", grad_scores, stack)[None, :]
-        grads[f"{att.name}.bias"] = np.atleast_1d(grad_scores.sum())
-        grad_stack = grad_stack + np.einsum("bt,n->bnt", grad_scores, att.weights[0])
-    else:
-        stack = cache["pooling"]["stack"]
-        c_stack = stack.shape[1]
-        grad_mean = grad_pooled[:, :c_stack]
-        grad_max = grad_pooled[:, c_stack:]
-        grad_stack = ops.pool_mean_over_axis_backward(stack.shape, 2, grad_mean)
-        grad_stack = grad_stack + ops.pool_max_over_axis_backward(stack, 2, grad_max)
-
-    c_front = cfg.frontend_channels
-    c_mid = cfg.midend_channels
-    grad_front = grad_stack[:, :c_front]
-    grad_mid = [
-        grad_stack[:, c_front + i * c_mid : c_front + (i + 1) * c_mid] for i in range(3)
-    ]
-
-    # residual mid end, walked backwards: cnn3 = block3(cnn2) + cnn2, etc.
-    grad_h = grad_mid[2][..., None]
-    grad_h2 = _conv_bn_relu_backward(model.layer("midend_3"), cache["midend_3"], grad_h, grads)
-    grad_h2 = grad_h2 + grad_h + grad_mid[1][..., None]
-    grad_h1 = _conv_bn_relu_backward(model.layer("midend_2"), cache["midend_2"], grad_h2, grads)
-    grad_h1 = grad_h1 + grad_h2 + grad_mid[0][..., None]
-    grad_front_mid = _conv_bn_relu_backward(model.layer("midend_1"), cache["midend_1"], grad_h1, grads)
-    grad_front = grad_front + grad_front_mid[..., 0]
-
-    c_timbral, _ = cache["split"]
-    grad_timbral = grad_front[:, :c_timbral]
-    grad_temporal = grad_front[:, c_timbral:]
-
-    grad_x = None
-    offset = 0
-    for i, _ in enumerate(cfg.timbral_filter_heights):
-        c = cache[f"timbral_{i}"]
-        part = grad_timbral[:, offset : offset + cfg.timbral_channels]
-        offset += cfg.timbral_channels
-        layer = model.layer(f"timbral_{i}")
-        grad_pool = ops.pool_max_over_axis_backward(_relu_out(layer, c), 3, part)
-        gx = _conv_bn_relu_backward(layer, c, grad_pool, grads)
-        grad_x = gx if grad_x is None else grad_x + gx
-
-    grad_env = None
-    offset = 0
-    for i, _ in enumerate(cfg.temporal_filter_lengths):
-        c = cache[f"temporal_{i}"]
-        part = grad_temporal[:, offset : offset + cfg.temporal_channels]
-        offset += cfg.temporal_channels
-        ge = _conv_bn_relu_backward(model.layer(f"temporal_{i}"), c, part[..., None], grads)
-        grad_env = ge if grad_env is None else grad_env + ge
-    if grad_env is not None:
-        grad_x = grad_x + ops.pool_mean_over_axis_backward(
-            cache["env_input_shape"], 3, grad_env[..., 0]
-        )
-
-    _bn_backward(model.layer("input_bn"), cache["input"], grad_x, grads)
-    return grads
+    logits, _ = _dense(tape, penultimate, model.layer("output_dense"))
+    return logits, trace
 
 
 # --- vgg ---------------------------------------------------------------------
 
 
-def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str) -> tuple[np.ndarray, dict, dict]:
+def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> tuple[np.ndarray, dict]:
     cfg = model.config
     pad_frames = cfg.vgg_input_frames - cfg.dsp.patch_frames
-    cache: dict = {}
-    x = np.pad(xs, ((0, 0), (0, 0), (0, pad_frames), (0, 0)))
+    x, slot = np.pad(xs, ((0, 0), (0, 0), (0, pad_frames), (0, 0))), None
     trace = {}
     for i, (ph, pw) in enumerate(cfg.vgg_pool_shapes, start=1):
-        layer = model.layer(f"block{i}")
-        c = cache[f"block{i}"] = {"pool": (ph, pw)}
-        x = _conv_bn_relu_forward(x, layer, 1, 1, bn_mode, c, lambda z: ops.pool_max(z, ph, pw))
+        pools = _pools(ops.pool_max, ops.pool_max_backward, ph, pw)
+        x, slot = _block(tape, slot, x, model.layer(f"block{i}"), (1, 1), bn_mode, pools)
         trace[f"pool{i}"] = x
-    flat = x.reshape(x.shape[0], -1)
-    cache["flat_shape"] = x.shape
-    cache["output"] = {"x": flat}
-    logits = ops.dense(flat, model.layer("output_dense"))
-    return logits, trace, cache
-
-
-def _vgg_backward(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    grad_flat = _dense_backward(model.layer("output_dense"), cache["output"], grad_logits, grads)
-    grad_x = grad_flat.reshape(cache["flat_shape"])
-    for i in range(5, 0, -1):
-        layer, c = model.layer(f"block{i}"), cache[f"block{i}"]
-        grad_pool = ops.pool_max_backward(_relu_out(layer, c), *c["pool"], grad_x)
-        grad_x = _conv_bn_relu_backward(layer, c, grad_pool, grads)
-    return grads
+    logits, _ = _dense(tape, (x.reshape(x.shape[0], -1), slot), model.layer("output_dense"))
+    return logits, trace
 
 
 # --- public entry points ------------------------------------------------------
@@ -646,30 +596,38 @@ def _as_batch(patches: np.ndarray, model: Model) -> np.ndarray:
 
 def forward_batch(
     patches: np.ndarray, model: Model, bn_mode: str = "infer"
-) -> tuple[np.ndarray, dict, dict]:
-    """Run a [B, 1, T, M] batch; returns (logits [B, n_tags], trace, cache).
+) -> tuple[np.ndarray, dict, list]:
+    """Run a [B, 1, T, M] batch; returns (logits [B, n_tags], trace, tape).
 
-    Trace values are stacked over the batch. The cache is consumed by
+    Trace values are stacked over the batch. The tape is consumed by
     backward_batch and holds references to forward intermediates.
     """
     if bn_mode not in ("infer", "train"):
         raise ConfigInvalidError(f"unknown bn_mode {bn_mode!r}")
     xs = _as_batch(patches, model)
-    if model.config.family == "vgg":
-        logits, trace, cache = _vgg_forward(xs, model, bn_mode)
-    else:
-        logits, trace, cache = _musicnn_forward(xs, model, bn_mode)
-    cache["family"] = model.config.family
+    tape: list = []
+    graph = _vgg_forward if model.config.family == "vgg" else _musicnn_forward
+    logits, trace = graph(xs, model, bn_mode, tape)
     trace["output"] = ops.sigmoid(logits)
-    return logits, trace, cache
+    return logits, trace, tape
 
 
-def backward_batch(model: Model, cache: dict, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss wrt every parameter tensor, given the
-    loss gradient at the pre-sigmoid logits. Sums over the batch in example
-    index order."""
-    backward = _vgg_backward if cache["family"] == "vgg" else _musicnn_backward
-    return backward(model, cache, np.asarray(grad_logits, dtype=model.dtype))
+def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss wrt every parameter tensor, given the loss
+    gradient at the pre-sigmoid logits. Sums over the batch in example index order."""
+    grads: dict[str, np.ndarray] = {}
+    incoming: list[list] = [[] for _ in tape]
+    incoming[-1].append(np.asarray(grad_logits, dtype=model.dtype))
+    for slot in range(len(tape) - 1, -1, -1):
+        rule, inputs, layer, saved, out_shape = tape[slot]
+        parts = incoming[slot]  # newest reader first
+        grad = parts.pop().reshape(out_shape)
+        while parts:
+            grad = grad + parts.pop().reshape(out_shape)
+        for src, g in zip(inputs, rule(grad, layer, saved, grads)):
+            if src is not None:
+                incoming[src].append(g)
+    return grads
 
 
 def forward(patch: np.ndarray, model: Model) -> dict[str, np.ndarray]:
@@ -678,12 +636,11 @@ def forward(patch: np.ndarray, model: Model) -> dict[str, np.ndarray]:
     return {k: v[0] for k, v in trace.items()}
 
 
-def batch_norm_statistics(cache: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def batch_norm_statistics(tape: list) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-layer (batch_mean, batch_var) recorded by a train-mode forward,
     keyed by layer name."""
     out = {}
-    for value in cache.values():
-        if isinstance(value, dict) and "bn_stats" in value:
-            name, mean, var = value["bn_stats"]
-            out[name] = (mean, var)
+    for _, _, layer, saved, _ in tape:
+        if isinstance(saved, dict) and "bn_stats" in saved:
+            out[layer.name] = saved["bn_stats"]
     return out

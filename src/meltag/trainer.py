@@ -20,7 +20,7 @@ from .dsp import DspConfig
 from .errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError
 from .network import Model, ModelConfig
 from .rng import SplitMix64
-from .store import parse_fields, read_text, registry_get, save_model
+from .store import check_output_path, parse_fields, read_text, registry_get, save_model
 
 EMA_MOMENTUM = 0.9
 
@@ -119,8 +119,8 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def _update_running_stats(model: Model, cache: dict) -> None:
-    for name, (mean, var) in network.batch_norm_statistics(cache).items():
+def _update_running_stats(model: Model, tape: list) -> None:
+    for name, (mean, var) in network.batch_norm_statistics(tape).items():
         layer = model.layer(name)
         layer.bn_mean = (EMA_MOMENTUM * layer.bn_mean + (1 - EMA_MOMENTUM) * mean).astype(model.dtype)
         layer.bn_var = (EMA_MOMENTUM * layer.bn_var + (1 - EMA_MOMENTUM) * var).astype(model.dtype)
@@ -152,13 +152,13 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, _, cache = network.forward_batch(x[idx], model, bn_mode="train")
+            logits, _, tape = network.forward_batch(x[idx], model, bn_mode="train")
             # sigmoid in float64, as the loss: float32 rounds to 1.0 from logit 16.6 on
             loss, grad_logits = bce_loss(ops.sigmoid(logits.astype(np.float64)), y[idx])
-            grads = network.backward_batch(model, cache, grad_logits)
+            grads = network.backward_batch(model, tape, grad_logits)
             params = model.tensors()
             model.set_tensors(adam_step(params, grads, state, config))
-            _update_running_stats(model, cache)
+            _update_running_stats(model, tape)
             epoch_loss += loss * len(idx) / n
         losses[epoch] = epoch_loss
     return TrainLog(epoch_losses=losses)
@@ -271,6 +271,8 @@ def run_train(args: argparse.Namespace) -> None:
     Recognized keys: model (registry name or toy_musicnn / toy_musicnn_attention
     / toy_vgg), dataset_size, plus any TrainConfig field.
     """
+    check_output_path(args.out, "--out")
+    check_output_path(args.log, "--log")
     fields = _parse_train_file(args.config)
     model_name = fields.pop("model", "toy_musicnn")
     dataset_size = _positive_int("dataset_size", fields.pop("dataset_size", "10"))
