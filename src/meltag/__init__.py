@@ -5,12 +5,12 @@ architecture families, a taggram-based tagger CLI, an intermediate-feature
 extractor, and a PCA+SVM transfer-learning pipeline.
 """
 
+from importlib import import_module
+
 from .dsp import DspConfig, MelSpectrogram, Waveform, load_wav, log_mel, patchify
 from .errors import MeltagError
-from .extractor import clip_embedding, extract
 from .network import Model, ModelConfig, build_model, forward
 from .store import load_model, load_registry_model, registry_get, registry_names, save_model
-from .tagger import Taggram, compute_taggram, tag_file, top_tags
 
 __version__ = "0.1.0"
 
@@ -38,3 +38,17 @@ __all__ = [
     "tag_file",
     "top_tags",
 ]
+
+_LAZY = {
+    "tagger": ("Taggram", "compute_taggram", "tag_file", "top_tags"),
+    "extractor": ("clip_embedding", "extract"),
+}
+
+
+def __getattr__(name: str):
+    """Tagger and extractor names load on first use, so that `python -m
+    meltag.tagger` runs a module the package has not imported already."""
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

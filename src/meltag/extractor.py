@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import UnknownFeatureKeyError
 from .network import Model
+from .store import check_output_path
 from .tagger import Taggram, infer_file, resolve_model
 
 FeatureSet = dict[str, np.ndarray]
@@ -77,6 +78,7 @@ def add_extractor_args(parser: argparse.ArgumentParser) -> None:
 
 
 def run_extractor(args: argparse.Namespace) -> None:
+    check_output_path(args.out, "--out")
     model = resolve_model(args.model)
     key = resolve_feature_key(model, args.feature)
     _, _, features = extract(args.audio, model, extract_features=True)

@@ -164,6 +164,18 @@ def read_text(path) -> str:
         raise ConfigInvalidError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def check_output_path(path, flag: str) -> None:
+    """Fail before a command does any work if the file `flag` names (None: the
+    flag was not given) could not be written."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigInvalidError(f"{flag} {path}: no directory {folder}")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ConfigInvalidError(f"{flag} {path}: not a writable file")
+
+
 def save_model(model: Model, path: str | os.PathLike) -> None:
     """Write config, tags, and every tensor as little-endian float32."""
     tensors = model.tensors()

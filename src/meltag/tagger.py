@@ -17,7 +17,7 @@ import numpy as np
 from . import dsp, network
 from .errors import TopNOutOfRangeError
 from .network import Model
-from .store import MODEL_NAMES, load_model, load_registry_model
+from .store import MODEL_NAMES, check_output_path, load_model, load_registry_model
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,15 @@ def compute_taggram(path, model: Model) -> Taggram:
     return infer_file(path, model)[0]
 
 
+def _check_top_n(top_n: int, n_tags: int) -> None:
+    if not 1 <= top_n <= n_tags:
+        raise TopNOutOfRangeError(f"topN {top_n} outside 1..{n_tags}")
+
+
 def top_tags(taggram: Taggram, top_n: int) -> list[tuple[str, float]]:
     """Highest-scoring tags by column mean, ties broken by vocabulary index."""
     n_tags = len(taggram.tags)
-    if not 1 <= top_n <= n_tags:
-        raise TopNOutOfRangeError(f"topN {top_n} outside 1..{n_tags}")
+    _check_top_n(top_n, n_tags)
     scores = taggram.values.mean(axis=0)
     order = np.lexsort((np.arange(n_tags), -scores))[:top_n]
     return [(taggram.tags[i], float(scores[i])) for i in order]
@@ -78,7 +82,9 @@ def resolve_model(name: str) -> Model:
 
 
 def tag_file(path, model_name: str = "MTT_musicnn", top_n: int = 3) -> list[tuple[str, float]]:
-    return top_tags(compute_taggram(path, resolve_model(model_name)), top_n)
+    model = resolve_model(model_name)
+    _check_top_n(top_n, len(model.tags))  # before the clip is decoded
+    return top_tags(compute_taggram(path, model), top_n)
 
 
 def add_tagger_args(parser: argparse.ArgumentParser) -> None:
@@ -97,6 +103,7 @@ def add_tagger_args(parser: argparse.ArgumentParser) -> None:
 
 
 def run_tagger(args: argparse.Namespace) -> None:
+    check_output_path(args.save, "--save")
     listing = format_listing(tag_file(args.audio, args.model, args.topN))
     if args.print_listing:
         sys.stdout.write(listing)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .extractor import clip_embedding, extract, resolve_feature_key
 from .network import Model
-from .store import read_text
+from .store import check_output_path, read_text
 from .tagger import resolve_model
 
 
@@ -317,6 +317,7 @@ def add_transfer_args(parser: argparse.ArgumentParser) -> None:
 
 
 def run_transfer(args: argparse.Namespace) -> None:
+    check_output_path(args.confusion_out, "--confusion-out")
     report = run_pipeline(
         load_manifest(args.manifest),
         resolve_model(args.model),

@@ -4,6 +4,9 @@ Cases that pair a bad flag or manifest with missing audio also check that
 the bad value is named, which shows it was rejected before any decoding.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,9 @@ CASES = {
         i.manifest(*_valid_rows(i), ("a\0b.wav", "noise", "test")), "manifest.csv:5: NUL byte"
     ),
     "train_learning_rate_nan": lambda i: (i.train(TOY_TRAIN + "learning_rate nan\n"), "learning_rate"),
+    "tag_topn_zero_before_decoding": lambda i: (
+        ["tag", i.unwritable("gone.wav"), "-m", i.model, "--topN", "0", "--print"], "topN 0"
+    ),
     "transfer_reg_nan_before_decoding": lambda i: (
         i.manifest(("gone_a.wav", "tone", "train"), ("gone_b.wav", "noise", "train"), ("gone_c.wav", "tone", "test"))
         + ["--reg", "nan"],
@@ -89,3 +95,38 @@ def test_bad_input_exits_one_with_a_named_error(tmp_path, wav_factory, capsys, c
     assert code == 1
     assert err.startswith("error:") and needle in err, err
     assert "Traceback" not in err
+
+
+# every output flag, pointed into a missing directory, and the flag's name
+OUTPUT_CASES = {
+    "tag_save": lambda i: (
+        ["tag", i.wavs[0], "-m", i.model, "--topN", "1", "--print", "--save", i.unwritable("x")], "--save"
+    ),
+    "extract_out": lambda i: (["extract", i.wavs[0], "-m", i.model, "--out", i.unwritable("x.csv")], "--out"),
+    "transfer_confusion_out": lambda i: (
+        i.manifest(*_valid_rows(i)) + ["--pca", "2", "--epochs", "5", "--confusion-out", i.unwritable("c.csv")],
+        "--confusion-out",
+    ),
+    "train_out": lambda i: (i.train(TOY_TRAIN) + ["--out", i.unwritable("out.mcn")], "--out"),
+    "train_log": lambda i: (i.train(TOY_TRAIN) + ["--log", i.unwritable("log.csv")], "--log"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_unwritable_output_fails_before_any_work(tmp_path, wav_factory, capsys, case):
+    argv, flag = OUTPUT_CASES[case](Inputs(tmp_path, wav_factory))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err, err
+    assert not (tmp_path / "out.mcn").exists()
+
+
+def test_tagger_module_runs_without_runpy_warnings():
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "meltag.tagger", "--help"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""

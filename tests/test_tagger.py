@@ -188,7 +188,7 @@ class TestCli:
         path = wav_factory(values, 2000, fmt="float32")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning from deep inside the pipeline
-            code = cli.main(["tag", str(path), "-m", str(tiny_model_path), "--print"])
+            code = cli.main(["tag", str(path), "-m", str(tiny_model_path), "--topN", "1", "--print"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
