@@ -288,12 +288,13 @@ class Model:
 
     def set_tensors(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite named parameter tensors in place (shapes must match)."""
+        dtype = self.dtype
         for key, value in values.items():
             layer_name, field_name = key.rsplit(".", 1)
             current = getattr(self._by_name[layer_name], field_name)
             if current is None or current.shape != value.shape:
                 raise ShapeMismatchError(f"cannot assign {key} with shape {value.shape}")
-            setattr(self._by_name[layer_name], field_name, value.astype(self.dtype))
+            setattr(self._by_name[layer_name], field_name, value.astype(dtype))
 
     def astype(self, mode: str) -> "Model":
         """Copy with every tensor cast to the requested numeric mode."""
@@ -361,13 +362,6 @@ def _record(tape: list, rule, inputs: tuple, layer, saved, out: np.ndarray) -> t
     return out, len(tape) - 1
 
 
-def _store(grads: dict, layer: LayerParams, **values: np.ndarray | None) -> None:
-    """Record a layer's batch-summed gradients under '<layer>.<field>'."""
-    for field_name, value in values.items():
-        if value is not None:
-            grads[f"{layer.name}.{field_name}"] = value
-
-
 def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -> np.ndarray:
     """Batch norm over a stacked [B, C, ...] tensor in either mode."""
     if bn_mode == "train":
@@ -380,12 +374,15 @@ def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -
 
 
 def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
+    p = layer.name + "."
     if "bn_cache" in cache:
-        grad_x, g_gamma, g_beta = ops.batchnorm_train_backward(layer, cache["bn_cache"], grad)
-        _store(grads, layer, bn_gamma=g_gamma, bn_beta=g_beta)
+        grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"] = ops.batchnorm_train_backward(
+            layer, cache["bn_cache"], grad
+        )
         return (grad_x,)
-    grad_x, gg, gb, gm, gv = ops.batchnorm_infer_backward(cache["bn_input"], layer, grad, BN_EPSILON)
-    _store(grads, layer, bn_gamma=gg, bn_beta=gb, bn_mean=gm, bn_var=gv)
+    grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"], grads[p + "bn_mean"], grads[p + "bn_var"] = (
+        ops.batchnorm_infer_backward(cache["bn_input"], layer, grad, BN_EPSILON)
+    )
     return (grad_x,)
 
 
@@ -420,8 +417,10 @@ def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) 
     if cache["pool_backward"] is not None:
         grad = cache["pool_backward"](cache["relu_out"], grad)
     (grad_conv,) = _bn_rule(ops.relu_backward(cache["relu_out"], grad), layer, cache, grads)
-    grad_x, gw, gb = ops.conv2d_backward(cache["x"], layer, grad_conv, *cache["pad"])
-    _store(grads, layer, weights=gw, bias=gb)
+    p = layer.name + "."
+    grad_x, grads[p + "weights"], grads[p + "bias"] = ops.conv2d_backward(
+        cache["x"], layer, grad_conv, *cache["pad"]
+    )
     return (grad_x,)
 
 
@@ -440,8 +439,8 @@ def _pools(pool, pool_backward, *args) -> tuple:
 
 
 def _dense_rule(grad: np.ndarray, layer: LayerParams, x: np.ndarray, grads: dict) -> tuple:
-    grad_x, gw, gb = ops.dense_backward(x, layer, grad)
-    _store(grads, layer, weights=gw, bias=gb)
+    p = layer.name + "."
+    grad_x, grads[p + "weights"], grads[p + "bias"] = ops.dense_backward(x, layer, grad)
     return (grad_x,)
 
 
@@ -504,23 +503,22 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> 
     # the frequency axis -- detectors fire wherever their shape appears in
     # frequency, which is the pitch-invariance premise of this front end
     pools = _pools(ops.pool_max_over_axis, ops.pool_max_over_axis_backward, 3)
-    timbral, timbral_slot = _concat(tape, [  # [B, C, T]
+    front_parts = [  # [B, C, T] each
         _block(tape, x_slot, x, model.layer(f"timbral_{i}"), (3, 0), bn_mode, pools)
         for i in range(len(cfg.timbral_filter_heights))
-    ])
+    ]
 
     # temporal: mean over frequency first, so the horizontal kernels see an
     # energy envelope rather than individual bands
     env, env_slot = _record(tape, _mean_rule, (x_slot,), None, (x.shape, 3), ops.pool_mean_over_axis(x, 3))
     env = env[..., None]  # [B, 1, T, 1]
-    temporal, temporal_slot = _concat(tape, [
-        _block(tape, env_slot, env, model.layer(f"temporal_{i}"), ((length - 1) // 2, 0), bn_mode)
-        for i, length in enumerate(cfg.temporal_filter_lengths)
-    ])
-    temporal = temporal[..., 0]  # [B, C, T]
+    for i, length in enumerate(cfg.temporal_filter_lengths):
+        h, slot = _block(tape, env_slot, env, model.layer(f"temporal_{i}"), ((length - 1) // 2, 0), bn_mode)
+        front_parts.append((h[..., 0], slot))  # [B, C, T]
 
-    front, front_slot = _concat(tape, [(timbral, timbral_slot), (temporal, temporal_slot)])  # [B, C_front, T]
-    trace = {"timbral": timbral, "temporal": temporal}
+    front, front_slot = _concat(tape, front_parts)  # [B, C_front, T]
+    c_timbral = len(cfg.timbral_filter_heights) * cfg.timbral_channels
+    trace = {"timbral": front[:, :c_timbral], "temporal": front[:, c_timbral:]}
 
     pad = ((cfg.midend_kernel - 1) // 2, 0)
     stack_parts = [(front, front_slot)]
@@ -621,9 +619,11 @@ def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[st
     for slot in range(len(tape) - 1, -1, -1):
         rule, inputs, layer, saved, out_shape = tape[slot]
         parts = incoming[slot]  # newest reader first
-        grad = parts.pop().reshape(out_shape)
+        grad = parts.pop()
         while parts:
-            grad = grad + parts.pop().reshape(out_shape)
+            grad = grad + parts.pop().reshape(grad.shape)
+        if grad.shape != out_shape:
+            grad = grad.reshape(out_shape)
         for src, g in zip(inputs, rule(grad, layer, saved, grads)):
             if src is not None:
                 incoming[src].append(g)
