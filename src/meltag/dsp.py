@@ -64,13 +64,6 @@ class Waveform:
     samples: np.ndarray
     sample_rate: int
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MelSpectrogram:
@@ -266,8 +259,9 @@ def log_mel(w: Waveform, cfg: DspConfig = DspConfig()) -> MelSpectrogram:
     return MelSpectrogram(values=values, config=cfg)
 
 
-def patchify(m: MelSpectrogram) -> list[np.ndarray]:
-    """Non-ragged windows of patch_frames rows at stride patch_hop_frames.
+def patchify(m: MelSpectrogram) -> np.ndarray:
+    """Non-ragged windows of patch_frames rows at stride patch_hop_frames,
+    as one read-only [B, patch_frames, n_mels] view of the mel values.
 
     A trailing remainder shorter than patch_frames is dropped. Raises
     AudioTooShortError when even one patch does not fit.
@@ -278,8 +272,5 @@ def patchify(m: MelSpectrogram) -> list[np.ndarray]:
         raise AudioTooShortError(
             f"{frames} frames < patch_frames {cfg.patch_frames}"
         )
-    n_patches = (frames - cfg.patch_frames) // cfg.patch_hop_frames + 1
-    return [
-        m.values[k * cfg.patch_hop_frames : k * cfg.patch_hop_frames + cfg.patch_frames].copy()
-        for k in range(n_patches)
-    ]
+    windows = sliding_window_view(m.values, cfg.patch_frames, axis=0)  # [frames', M, T]
+    return windows[:: cfg.patch_hop_frames].swapaxes(1, 2)

@@ -58,6 +58,13 @@ MUSICNN_ATTENTION_KEYS = frozenset(
 VGG_KEYS = frozenset({"pool1", "pool2", "pool3", "pool4", "pool5", "output"})
 
 
+def mode_dtype(mode: str) -> np.dtype:
+    """The tensor dtype of a numeric mode: float32 inference, float64 verification."""
+    if mode not in ("float32", "float64"):
+        raise ConfigInvalidError(f"unknown numeric mode {mode!r}")
+    return np.dtype(mode)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters plus the DSP front-end config."""
@@ -244,9 +251,10 @@ class Model:
     config: ModelConfig
     params: list[LayerParams]
     tags: tuple[str, ...]
-    mode: str = "float32"  # "float32" inference | "float64" verification
+    mode: str = "float32"  # see mode_dtype
 
     def __post_init__(self):
+        mode_dtype(self.mode)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ConfigInvalidError("duplicate layer names")
@@ -275,7 +283,7 @@ class Model:
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(np.float64 if self.mode == "float64" else np.float32)
+        return mode_dtype(self.mode)
 
     def layer(self, name: str) -> LayerParams:
         return self._by_name[name]
@@ -298,21 +306,18 @@ class Model:
 
     def astype(self, mode: str) -> "Model":
         """Copy with every tensor cast to the requested numeric mode."""
-        dtype = np.float64 if mode == "float64" else np.float32
+        dtype = mode_dtype(mode)
         params = [
             LayerParams(
                 name=p.name,
                 **{
                     f: (None if getattr(p, f) is None else getattr(p, f).astype(dtype))
-                    for f in ops.layer_params_fields()
+                    for f in ops.TENSOR_FIELDS
                 },
             )
             for p in self.params
         ]
         return Model(config=self.config, params=params, tags=self.tags, mode=mode)
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def build_model(
@@ -332,8 +337,7 @@ def build_model(
     """
     if init not in ("zeros", "random"):
         raise ConfigInvalidError(f"unknown init {init!r}")
-    config.validate()
-    dtype = np.float64 if mode == "float64" else np.float32
+    dtype = mode_dtype(mode)
     params = []
     for name, tensors in config.layer_shapes().items():
         kwargs: dict[str, np.ndarray] = {}
@@ -628,12 +632,6 @@ def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[st
             if src is not None:
                 incoming[src].append(g)
     return grads
-
-
-def forward(patch: np.ndarray, model: Model) -> dict[str, np.ndarray]:
-    """Single-patch inference trace: every named intermediate plus 'output'."""
-    _, trace, _ = forward_batch(patch, model, bn_mode="infer")
-    return {k: v[0] for k, v in trace.items()}
 
 
 def batch_norm_statistics(tape: list) -> dict[str, tuple[np.ndarray, np.ndarray]]:

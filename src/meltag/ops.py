@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericFaultError, ShapeMismatchError
 
-_TENSOR_FIELDS = ("weights", "bias", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
+TENSOR_FIELDS = ("weights", "bias", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
 
 
 @dataclass
@@ -53,14 +53,11 @@ class LayerParams:
     def tensors(self) -> dict[str, np.ndarray]:
         """Present tensors keyed as '<layer>.<field>', in declaration order."""
         out = {}
-        for f in _TENSOR_FIELDS:
+        for f in TENSOR_FIELDS:
             value = getattr(self, f)
             if value is not None:
                 out[f"{self.name}.{f}"] = value
         return out
-
-    def has_bn(self) -> bool:
-        return self.bn_gamma is not None
 
     def validate(self) -> None:
         if self.bn_var is not None and np.any(self.bn_var < 0):
@@ -68,10 +65,6 @@ class LayerParams:
         bn = [self.bn_gamma, self.bn_beta, self.bn_mean, self.bn_var]
         if any(t is not None for t in bn) and not all(t is not None for t in bn):
             raise ShapeMismatchError(f"{self.name}: partial batch-norm tensor set")
-
-
-def layer_params_fields() -> tuple[str, ...]:
-    return _TENSOR_FIELDS
 
 
 def _ensure_finite(op: str, *arrays: np.ndarray) -> None:
@@ -320,11 +313,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out[~pos] = ex / (1.0 + ex)
     _ensure_finite("sigmoid", out)
     return out[0] if scalar_input else out
-
-
-def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward from the forward output y = sigmoid(x)."""
-    return grad_out * y * (1.0 - y)
 
 
 def softmax_over_axis(x: np.ndarray, axis: int) -> np.ndarray:

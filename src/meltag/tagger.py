@@ -19,6 +19,8 @@ from .errors import TopNOutOfRangeError
 from .network import Model
 from .store import MODEL_NAMES, check_output_path, load_model, load_registry_model
 
+INFER_BATCH = 20  # patches per forward_batch in infer_file, which bounds its memory
+
 
 @dataclass(frozen=True)
 class Taggram:
@@ -34,25 +36,31 @@ class Taggram:
 
 
 def audio_patches(path, model: Model) -> np.ndarray:
-    """Decode, mel-transform, and window a file into a [B, T, M] patch stack."""
-    cfg = model.config.dsp
-    mel = dsp.log_mel(dsp.load_wav(path), cfg)
-    return np.stack(dsp.patchify(mel))
+    """Decode, mel-transform, and window a file into a read-only [B, T, M] patch view."""
+    return dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp))
 
 
 def infer_file(path, model: Model) -> tuple[Taggram, dict[str, np.ndarray]]:
     """The inference path shared by tag, extract and transfer: the taggram
-    and the forward trace of every patch of a file."""
+    and the forward trace of every patch of a file. Patches run INFER_BATCH
+    at a time to bound memory; infer-mode rows are independent, so the
+    result equals one whole-clip batch bit for bit."""
     cfg = model.config.dsp
     patches = audio_patches(path, model)
-    _, trace, _ = network.forward_batch(patches, model, bn_mode="infer")
+    traces = [
+        network.forward_batch(patches[lo : lo + INFER_BATCH], model, bn_mode="infer")[1]
+        for lo in range(0, len(patches), INFER_BATCH)
+    ]
+    trace = traces[0]
+    if len(traces) > 1:
+        trace = {key: np.concatenate([t[key] for t in traces]) for key in trace}
     seconds_per_patch_hop = cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate
     times = np.arange(len(patches)) * seconds_per_patch_hop
     return Taggram(values=trace["output"], tags=model.tags, patch_times=times), trace
 
 
 def compute_taggram(path, model: Model) -> Taggram:
-    """Rows ordered by patch start time; row k is forward(patch_k).output."""
+    """Rows ordered by patch start time; row k is patch k's sigmoid output."""
     return infer_file(path, model)[0]
 
 

@@ -49,8 +49,7 @@ class TrainConfig:
             raise ConfigInvalidError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ConfigInvalidError("epochs must be at least 1")
-        if self.mode not in ("float32", "float64"):
-            raise ConfigInvalidError(f"unknown numeric mode {self.mode!r}")
+        network.mode_dtype(self.mode)
 
 
 def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -217,9 +216,6 @@ def synthetic_dataset(config: ModelConfig, n_examples: int, seed: int = 0) -> tu
 
 
 # --- train CLI -------------------------------------------------------------------
-
-_TOY_NAMES = ("toy_musicnn", "toy_musicnn_attention", "toy_vgg")
-
 
 def _parse_train_file(path) -> dict[str, str]:
     fields = {}

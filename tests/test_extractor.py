@@ -78,7 +78,7 @@ class TestExtract:
         taggram, _, _ = extract(tiny_wav, model)
         for k, patch in enumerate(audio_patches(tiny_wav, model)):
             np.testing.assert_array_equal(
-                taggram.values[k], network.forward(patch, model)["output"]
+                taggram.values[k], network.forward_batch(patch, model)[1]["output"][0]
             )
 
 

@@ -18,7 +18,6 @@ from meltag.network import (
     VGG_KEYS,
     ModelConfig,
     build_model,
-    forward,
     forward_batch,
 )
 
@@ -83,7 +82,7 @@ class TestConfigAlgebra:
     def test_parameter_count_matches_built_model(self):
         for cfg in (tiny_musicnn(), tiny_musicnn(backend="attention"), tiny_vgg()):
             model = build_model(cfg, seed=1)
-            assert model.parameter_count() == cfg.parameter_count()
+            assert sum(t.size for t in model.tensors().values()) == cfg.parameter_count()
 
     def test_trace_keys_per_variant(self):
         assert tiny_musicnn().trace_keys() == MUSICNN_POOLING_KEYS
@@ -171,6 +170,16 @@ class TestBuildModel:
         with pytest.raises(ConfigInvalidError):
             build_model(tiny_musicnn(), tags=("same", "same"))
 
+    def test_unknown_numeric_mode_rejected(self):
+        """An unknown mode used to give a float32 model carrying that mode."""
+        model = build_model(tiny_musicnn(), seed=1)
+        with pytest.raises(ConfigInvalidError, match="float16"):
+            build_model(tiny_musicnn(), mode="float16")
+        with pytest.raises(ConfigInvalidError, match="bogus"):
+            model.astype("bogus")
+        with pytest.raises(ConfigInvalidError, match="float16"):
+            network.Model(model.config, model.params, model.tags, mode="float16")
+
     def test_set_tensors_checks_shapes(self):
         model = build_model(tiny_musicnn(), seed=1)
         with pytest.raises(ShapeMismatchError):
@@ -191,11 +200,16 @@ def _patch(cfg, seed=0):
     return rng.normal(size=(cfg.dsp.patch_frames, cfg.dsp.n_mels))
 
 
+def _trace(patch, model) -> dict:
+    """The infer-mode trace of one patch, without the batch axis."""
+    return {k: v[0] for k, v in forward_batch(patch, model)[1].items()}
+
+
 class TestForward:
     def test_pooling_trace_keys_and_shapes(self):
         cfg = tiny_musicnn()
         model = build_model(cfg, seed=1)
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         assert set(trace) == MUSICNN_POOLING_KEYS
         t = cfg.dsp.patch_frames
         assert trace["timbral"].shape == (4, t)
@@ -210,7 +224,7 @@ class TestForward:
     def test_attention_trace_keys_and_shapes(self):
         cfg = tiny_musicnn(backend="attention")
         model = build_model(cfg, seed=1)
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         assert set(trace) == MUSICNN_ATTENTION_KEYS
         assert trace["attention_weights"].shape == (cfg.dsp.patch_frames,)
         assert trace["context"].shape == (15,)
@@ -218,7 +232,7 @@ class TestForward:
     def test_vgg_trace_keys_and_shapes(self):
         cfg = tiny_vgg()
         model = build_model(cfg, seed=1)
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         assert set(trace) == VGG_KEYS
         assert trace["pool1"].shape == (2, 4, 4)
         assert trace["pool2"].shape == (2, 2, 2)
@@ -228,7 +242,7 @@ class TestForward:
         cfg = ModelConfig(family="vgg")
         model = build_model(cfg, seed=0)
         patch = np.random.default_rng(0).normal(size=(187, 96))
-        trace = forward(patch, model)
+        trace = _trace(patch, model)
         assert trace["pool1"].shape == (32, 96, 48)  # 192 padded frames / 2
 
     def test_output_is_sigmoid_of_logits(self):
@@ -243,7 +257,7 @@ class TestForward:
         concatenated front-end + mid-end maps exposed in the same trace."""
         cfg = tiny_musicnn()
         model = build_model(cfg, seed=5, mode="float64")
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         stack = np.concatenate(
             [trace["timbral"], trace["temporal"], trace["cnn1"], trace["cnn2"], trace["cnn3"]]
         )
@@ -253,7 +267,7 @@ class TestForward:
     def test_attention_weights_form_a_distribution(self):
         cfg = tiny_musicnn(backend="attention")
         model = build_model(cfg, seed=6, mode="float64")
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         w = trace["attention_weights"]
         assert (w > 0).all()
         assert abs(w.sum() - 1.0) < 1e-12
@@ -261,7 +275,7 @@ class TestForward:
     def test_context_is_the_attention_weighted_stack(self):
         cfg = tiny_musicnn(backend="attention")
         model = build_model(cfg, seed=6, mode="float64")
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         stack = np.concatenate(
             [trace["timbral"], trace["temporal"], trace["cnn1"], trace["cnn2"], trace["cnn3"]]
         )
@@ -282,7 +296,7 @@ class TestForward:
                     f"{name}.bn_mean": np.zeros_like(layer.bn_mean),
                 }
             )
-        trace = forward(_patch(cfg), model)
+        trace = _trace(_patch(cfg), model)
         assert trace["cnn1"].any()
         np.testing.assert_array_equal(trace["cnn2"], trace["cnn1"])
         np.testing.assert_array_equal(trace["cnn3"], trace["cnn1"])
@@ -310,9 +324,9 @@ class TestForward:
     def test_wrong_patch_shape_rejected(self):
         model = build_model(tiny_musicnn(), seed=0)
         with pytest.raises(ShapeMismatchError):
-            forward(np.zeros((5, 8)), model)
+            forward_batch(np.zeros((5, 8)), model)
         with pytest.raises(ShapeMismatchError):
-            forward(np.zeros((8, 9)), model)
+            forward_batch(np.zeros((8, 9)), model)
         with pytest.raises(ShapeMismatchError):
             forward_batch(np.zeros((1, 1, 1, 8, 8)), model)
 
@@ -326,7 +340,7 @@ class TestForward:
         cfg = tiny_vgg()
         model = build_model(cfg, seed=10)
         p = _patch(cfg)
-        np.testing.assert_array_equal(forward(p, model)["output"], forward(p, model)["output"])
+        np.testing.assert_array_equal(_trace(p, model)["output"], _trace(p, model)["output"])
 
 
 class TestTrainMode:
@@ -377,7 +391,7 @@ def _train_dead_keys(model):
     the input scale is normalized away by the next layer's statistics."""
     dead = {"input_bn.bn_gamma"}
     for p in model.params:
-        if p.has_bn() and p.bias is not None:
+        if p.bn_gamma is not None and p.bias is not None:
             dead.add(f"{p.name}.bias")
     return dead
 

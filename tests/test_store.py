@@ -18,7 +18,7 @@ from meltag.errors import (
     ShapeMismatchError,
     UnknownModelError,
 )
-from meltag.network import build_model, forward
+from meltag.network import build_model, forward_batch
 from meltag.store import (
     field_lines,
     load_model,
@@ -157,7 +157,7 @@ class TestRoundTrip:
         loaded = load_model(path)
         patch = np.random.default_rng(0).normal(size=(cfg.dsp.patch_frames, cfg.dsp.n_mels))
         np.testing.assert_array_equal(
-            forward(patch, model)["output"], forward(patch, loaded)["output"]
+            forward_batch(patch, model)[1]["output"], forward_batch(patch, loaded)[1]["output"]
         )
 
     def test_float64_models_are_stored_as_float32(self, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meltag import cli, tagger
+from meltag import cli, network, tagger
 from meltag.errors import TopNOutOfRangeError, UnknownModelError
 from meltag.network import build_model
 from meltag.store import save_model
@@ -66,6 +66,31 @@ class TestTaggram:
         np.testing.assert_array_equal(two.values[: one.n_patches], one.values)
         np.testing.assert_array_equal(two.values[k : k + one.n_patches], one.values)
 
+
+    @pytest.mark.parametrize("family", ["musicnn", "vgg"])
+    def test_long_clip_runs_in_batches_of_at_most_20(self, family, wav_factory, monkeypatch):
+        """A 44-patch clip never reaches forward_batch whole, and its taggram
+        and trace equal one whole-clip batch byte for byte."""
+        cfg = tiny_musicnn(backend="attention") if family == "musicnn" else tiny_vgg()
+        model = build_model(cfg, seed=6)
+        path = wav_factory(np.random.default_rng(3).uniform(-0.5, 0.5, 256 * 45), 2000)
+        forward_batch = network.forward_batch
+        _, whole, _ = forward_batch(tagger.audio_patches(path, model), model)
+        sizes = []
+
+        def spy(patches, *args, **kwargs):
+            sizes.append(len(patches))
+            return forward_batch(patches, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward_batch", spy)
+        gram, trace = tagger.infer_file(path, model)
+        assert sum(sizes) == 44 and max(sizes) <= 20
+        assert set(trace) == set(whole)
+        for key, want in whole.items():
+            got = trace[key]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        assert gram.values.tobytes() == whole["output"].tobytes()
 
 class TestTopTags:
     def _gram(self, values, tags):
