@@ -29,11 +29,8 @@ def extract(
     The taggram is identical whichever way the flag is set; with the flag
     off the feature dictionary is simply empty.
     """
-    taggram, trace = infer_file(path, model)
-    features: FeatureSet = {}
-    if extract_features:
-        features = {key: value for key, value in trace.items() if key != "output"}
-    return taggram, model.tags, features
+    taggram, trace = infer_file(path, model, keys=None if extract_features else ())
+    return taggram, model.tags, {key: value for key, value in trace.items() if key != "output"}
 
 
 def _unknown_key(key: str, known) -> UnknownFeatureKeyError:
@@ -81,5 +78,4 @@ def run_extractor(args: argparse.Namespace) -> None:
     check_output_path(args.out, "--out")
     model = resolve_model(args.model)
     key = resolve_feature_key(model, args.feature)
-    _, _, features = extract(args.audio, model, extract_features=True)
-    write_feature_csv(features[key], args.out)
+    write_feature_csv(infer_file(args.audio, model, keys=(key,))[1][key], args.out)

@@ -6,7 +6,7 @@ envelope), a residual mid end over time, and either a temporal-pooling or an
 attention back end. The vgg family is five conv/bn/relu/max-pool blocks over
 the spectrogram treated as an image.
 
-Forward passes come in one shape, `forward_batch`, which runs a stacked
+Forward passes come in one shape: `forward_batch` runs a stacked
 [B, 1, T, M] batch through the graph with one batched `ops` call per layer,
 in either batch-norm mode:
 
@@ -23,16 +23,17 @@ Conv outputs, and the maps built from them, are width-major views (see
 `ops`). The ops that would sum them in memory order copy to C order first,
 so this module never deals with layout.
 
-The forward records a tape: one (rule, input_slots, layer, saved, out_shape)
-entry per step -- a conv-bn-relu[-pool] block, bn, dense, relu, concat,
-residual add, mean over an axis, or a back end. Slot i is entry i's output;
-None is the input batch. `backward_batch` runs the tape in reverse and
-returns one gradient array per parameter tensor; a value read by several
+forward_batch records a tape: one (rule, input_slots, layer, saved,
+out_shape) entry per step -- a conv-bn-relu[-pool] block, bn, dense, relu,
+concat, residual add, mean over an axis, or a back end. Slot i is entry i's
+output; None is the input batch. `backward_batch` runs the tape in reverse
+and returns one gradient array per parameter tensor; a value read by several
 steps gets their gradients summed in recording order. The ops already sum
-over the batch in example index order. After an infer forward the block
-rule rebuilds the full relu map from the cached conv output. In inference
-mode the running bn statistics receive exact gradients too, which lets the
-whole-network gradient check cover every stored tensor.
+over the batch in example index order. After an infer forward the block rule
+rebuilds the full relu map from the cached conv output. In inference mode
+the running bn statistics receive exact gradients too, which lets the
+whole-network gradient check cover every stored tensor. `infer_batch` (tag,
+extract, transfer) records none and pools each conv map inside conv2d_pool.
 """
 
 from __future__ import annotations
@@ -361,7 +362,9 @@ def build_model(
 # --- the tape: forward steps and their backward rules --------------------------
 
 
-def _record(tape: list, rule, inputs: tuple, layer, saved, out: np.ndarray) -> tuple[np.ndarray, int]:
+def _record(tape: list | None, rule, inputs: tuple, layer, saved, out: np.ndarray) -> tuple:
+    if tape is None:  # infer_batch
+        return out, None
     tape.append((rule, inputs, layer, saved, out.shape))
     return out, len(tape) - 1
 
@@ -390,15 +393,28 @@ def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> 
     return (grad_x,)
 
 
-def _bn(tape: list, src, xs: np.ndarray, layer: LayerParams, bn_mode: str) -> tuple[np.ndarray, int]:
-    cache: dict = {}
+def _bn(tape: list | None, src, xs: np.ndarray, layer: LayerParams, bn_mode: str) -> tuple:
+    cache: dict = {}  # references only; dropped with no tape
     return _record(tape, _bn_rule, (src,), layer, cache, _bn_forward(xs, layer, bn_mode, cache))
 
 
+def _pool_first(y: np.ndarray, pool, gamma: np.ndarray) -> np.ndarray:
+    """pool(y) of a [B, C, ...] conv map ahead of infer bn, whose max comes from min(y) where gamma < 0."""
+    pooled, neg = pool(y), gamma < 0
+    if neg.any():
+        pooled = np.where(neg.reshape((-1,) + (1,) * (pooled.ndim - 2)), -pool(-y), pooled)
+    return pooled
+
+
 def _conv_bn_relu_forward(
-    xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict, pool=None
+    xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict | None, pool=None
 ) -> np.ndarray:
-    """conv -> bn -> relu [-> pool] over a stacked batch; caches what backward needs."""
+    """conv -> bn -> relu [-> pool] over a stacked batch; caches what backward needs.
+    With no cache (infer only) conv2d pools each example's map as it makes it."""
+    if cache is None:
+        first = pool and (lambda y: _pool_first(y, pool, layer.bn_gamma))
+        h = ops.batchnorm_infer(ops.conv2d_pool(xs, layer, pad_h, pad_w, first), layer, BN_EPSILON)
+        return ops.relu(h, out=h)
     y = ops.conv2d(xs, layer, pad_h, pad_w)
     cache.update(x=xs, pad=(pad_h, pad_w))
     if pool is None or bn_mode == "train":
@@ -406,11 +422,7 @@ def _conv_bn_relu_forward(
         cache["relu_out"] = ops.relu(h, out=h)
         return h if pool is None else pool(h)
     cache["bn_input"] = y
-    pooled = pool(y)
-    neg = layer.bn_gamma < 0
-    if neg.any():  # bn decreases on these channels, so their max comes from min(y)
-        pooled = np.where(neg.reshape((-1,) + (1,) * (pooled.ndim - 2)), -pool(-y), pooled)
-    h = ops.batchnorm_infer(pooled, layer, BN_EPSILON)
+    h = ops.batchnorm_infer(_pool_first(y, pool, layer.bn_gamma), layer, BN_EPSILON)
     return ops.relu(h, out=h)
 
 
@@ -429,10 +441,10 @@ def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) 
 
 
 def _block(
-    tape: list, src, xs: np.ndarray, layer: LayerParams, pad: tuple, bn_mode: str, pools=(None, None)
-) -> tuple[np.ndarray, int]:
+    tape: list | None, src, xs: np.ndarray, layer: LayerParams, pad: tuple, bn_mode: str, pools=(None, None)
+) -> tuple:
     """One conv-bn-relu[-pool] block as a single tape entry; pools is (forward, backward)."""
-    cache = {"pool_backward": pools[1]}
+    cache = None if tape is None else {"pool_backward": pools[1]}
     h = _conv_bn_relu_forward(xs, layer, *pad, bn_mode, cache, pools[0])
     return _record(tape, _block_rule, (src,), layer, cache, h)
 
@@ -448,7 +460,7 @@ def _dense_rule(grad: np.ndarray, layer: LayerParams, x: np.ndarray, grads: dict
     return (grad_x,)
 
 
-def _dense(tape: list, node: tuple, layer: LayerParams) -> tuple[np.ndarray, int]:
+def _dense(tape: list | None, node: tuple, layer: LayerParams) -> tuple:
     x, src = node
     return _record(tape, _dense_rule, (src,), layer, x, ops.dense(x, layer))
 
@@ -465,7 +477,7 @@ def _concat_rule(grad: np.ndarray, layer, bounds: list, grads: dict) -> list:
     return [grad[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _concat(tape: list, nodes: list) -> tuple[np.ndarray, int]:
+def _concat(tape: list | None, nodes: list) -> tuple:
     """Concatenate (value, slot) pairs over the channel axis."""
     values, slots = zip(*nodes)
     bounds = [0]
@@ -499,7 +511,7 @@ def _attention_rule(grad_ctx: np.ndarray, att: LayerParams, saved: tuple, grads:
 # --- musicnn ---------------------------------------------------------------
 
 
-def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> tuple[np.ndarray, dict]:
+def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list | None) -> tuple[np.ndarray, dict]:
     cfg = model.config
     x, x_slot = _bn(tape, None, xs, model.layer("input_bn"), bn_mode)
 
@@ -564,7 +576,7 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> 
 # --- vgg ---------------------------------------------------------------------
 
 
-def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list) -> tuple[np.ndarray, dict]:
+def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list | None) -> tuple[np.ndarray, dict]:
     cfg = model.config
     pad_frames = cfg.vgg_input_frames - cfg.dsp.patch_frames
     x, slot = np.pad(xs, ((0, 0), (0, 0), (0, pad_frames), (0, 0))), None
@@ -596,22 +608,29 @@ def _as_batch(patches: np.ndarray, model: Model) -> np.ndarray:
     return x
 
 
-def forward_batch(
-    patches: np.ndarray, model: Model, bn_mode: str = "infer"
-) -> tuple[np.ndarray, dict, list]:
-    """Run a [B, 1, T, M] batch; returns (logits [B, n_tags], trace, tape).
-
-    Trace values are stacked over the batch. The tape is consumed by
-    backward_batch and holds references to forward intermediates.
-    """
+def _forward(patches: np.ndarray, model: Model, bn_mode: str, tape: list | None) -> tuple[np.ndarray, dict]:
     if bn_mode not in ("infer", "train"):
         raise ConfigInvalidError(f"unknown bn_mode {bn_mode!r}")
     xs = _as_batch(patches, model)
-    tape: list = []
     graph = _vgg_forward if model.config.family == "vgg" else _musicnn_forward
     logits, trace = graph(xs, model, bn_mode, tape)
     trace["output"] = ops.sigmoid(logits)
-    return logits, trace, tape
+    return logits, trace
+
+
+def forward_batch(
+    patches: np.ndarray, model: Model, bn_mode: str = "infer"
+) -> tuple[np.ndarray, dict, list]:
+    """Run a [B, 1, T, M] batch; returns (logits [B, n_tags], trace, tape). Trace values are
+    stacked over the batch; the tape, consumed by backward_batch, holds forward intermediates."""
+    tape: list = []
+    return (*_forward(patches, model, bn_mode, tape), tape)
+
+
+def infer_batch(patches: np.ndarray, model: Model) -> tuple[np.ndarray, dict]:
+    """forward_batch in infer mode, bit for bit, with no tape: (logits, trace).
+    It keeps nothing a backward needs and pools conv maps per example."""
+    return _forward(patches, model, "infer", None)
 
 
 def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[str, np.ndarray]:

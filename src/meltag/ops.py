@@ -5,19 +5,22 @@ Tensors are numpy arrays. conv2d stores its output width-major ([..., C, W,
 H] in memory) and returns the transposed [..., C, H, W] view, so a max over
 width (musicnn's frequency axis) combines whole rows of H instead of reducing
 one short row per output; maps computed from it elementwise keep that
-layout. No op's bits depend on its inputs' layout: batchnorm_train and
+layout. conv2d_pool runs the same loop but stores a pool of each example's
+map, so a forward that needs only the pooled map never builds the batch's
+full maps. No op's bits depend on its inputs' layout: batchnorm_train and
 batchnorm_infer_backward, whose float sums would follow memory order, sum
-over a C-ordered copy. Every op takes a whole batch:
-convolution inputs are [..., channels, height, width], dense inputs
-[..., features] and max pooling [..., height, width], with any number of
-leading batch axes (none for a single example); batch normalization takes
-[batch, channels, ...] in both modes. Row b of a batched call is bit for bit
-the call on example b alone, and parameter gradients come back already
-summed over the batch in example index order.
+over a C-ordered copy. Every op takes a whole batch: convolution inputs are
+[..., channels, height, width], dense inputs [..., features] and max pooling
+[..., height, width], with any number of leading batch axes (none for a
+single example); batch normalization takes [batch, channels, ...] in both
+modes. Row b of a batched call is bit for bit the call on example b alone,
+and parameter gradients come back already summed over the batch in example
+index order.
 
-Every forward surfaces NaN/Inf as NumericFaultError: silent non-finite
-values would otherwise poison gradient checks downstream. No op mutates its
-inputs (bar relu's `out`), so read-only tensors may be shared across threads.
+Every forward surfaces NaN/Inf as NumericFaultError (conv2d names the layer
+and batch row): silent non-finite values would otherwise poison gradient
+checks downstream. No op mutates its inputs (bar relu's `out`), so read-only
+tensors may be shared across threads.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int) -> 
 def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -> np.ndarray:
     """Valid cross-correlation of zero-padded [..., C_in, H, W] inputs with
     [C_out, C_in, kH, kW] kernels; per-channel bias added when present."""
+    return conv2d_pool(x, params, pad_h, pad_w, None)
+
+
+def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool) -> np.ndarray:
+    """conv2d storing pool(map) of each example's map, passed as a batch of one (or the map if
+    pool is None), so the batch's full maps are never built; each map is checked finite first."""
     w = params.weights
     if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
         raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
@@ -114,15 +123,21 @@ def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -
     xt = x.reshape((-1,) + x.shape[-3:]).swapaxes(-1, -2)
     win = _conv_windows(xt, w.shape[3], w.shape[2], pad_w, pad_h)
     wm = w.reshape(len(w), -1)
-    y = np.empty((len(win), len(w)) + win.shape[2:4], dtype=np.result_type(w, win))
-    # one GEMM per example (a batched GEMM's bits vary with B): tensordot's `dot`, into one
-    # output buffer. The unnamed C_in*kH*kW x W'*H' window copy is freed before the next
-    for win_b, y_b in zip(win, y.reshape(len(win), len(w), -1)):
-        np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=y_b)
-    if params.bias is not None:
-        y += params.bias[:, None, None]
-    _ensure_finite("conv2d", y)
-    return y.reshape(x.shape[:-3] + y.shape[1:]).swapaxes(-1, -2)
+    # one GEMM per example (a batched GEMM's bits vary with B): tensordot's `dot`, into row b,
+    # or one reused row when pooling. The unnamed C_in*kH*kW x W'*H' window copy is freed before the next
+    maps = np.empty((1 if pool else len(win), len(w)) + win.shape[2:4], dtype=np.result_type(w, win))
+    out = maps.swapaxes(-1, -2)
+    if pool:  # stores the pools instead; their shape from an empty batch
+        out = np.empty((len(win),) + pool(out[:0]).shape[1:], dtype=maps.dtype)
+    for b, win_b in enumerate(win):
+        m = maps[0 if pool else b]
+        np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=m.reshape(len(w), -1))
+        if params.bias is not None:
+            m += params.bias[:, None, None]
+        _ensure_finite(f"{params.name}: conv2d (batch row {b})", m)
+        if pool:
+            out[b] = pool(maps.swapaxes(-1, -2))[0]
+    return out.reshape(x.shape[:-3] + out.shape[1:])
 
 
 def conv2d_backward(

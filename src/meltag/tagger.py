@@ -40,28 +40,26 @@ def audio_patches(path, model: Model) -> np.ndarray:
     return dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp))
 
 
-def infer_file(path, model: Model) -> tuple[Taggram, dict[str, np.ndarray]]:
-    """The inference path shared by tag, extract and transfer: the taggram
-    and the forward trace of every patch of a file. Patches run INFER_BATCH
-    at a time to bound memory; infer-mode rows are independent, so the
-    result equals one whole-clip batch bit for bit."""
+def infer_file(path, model: Model, keys=None) -> tuple[Taggram, dict[str, np.ndarray]]:
+    """The inference path shared by tag, extract and transfer: the taggram and the trace
+    keys `output` plus `keys` (None: all) of every patch of a file. Patches run INFER_BATCH
+    at a time through the tapeless network.infer_batch, each batch's full trace dropped before
+    the next; rows are independent, so the result equals one whole-clip batch bit for bit."""
     cfg = model.config.dsp
     patches = audio_patches(path, model)
-    traces = [
-        network.forward_batch(patches[lo : lo + INFER_BATCH], model, bn_mode="infer")[1]
+    keep = model.config.trace_keys() if keys is None else {"output", *keys}
+    traces = [  # the comprehension binds no name to a batch's full trace
+        {k: v for k, v in network.infer_batch(patches[lo : lo + INFER_BATCH], model)[1].items() if k in keep}
         for lo in range(0, len(patches), INFER_BATCH)
     ]
-    trace = traces[0]
-    if len(traces) > 1:
-        trace = {key: np.concatenate([t[key] for t in traces]) for key in trace}
-    seconds_per_patch_hop = cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate
-    times = np.arange(len(patches)) * seconds_per_patch_hop
+    trace = {key: np.concatenate([t[key] for t in traces]) for key in traces[0]}
+    times = np.arange(len(patches)) * (cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate)
     return Taggram(values=trace["output"], tags=model.tags, patch_times=times), trace
 
 
 def compute_taggram(path, model: Model) -> Taggram:
     """Rows ordered by patch start time; row k is patch k's sigmoid output."""
-    return infer_file(path, model)[0]
+    return infer_file(path, model, keys=())[0]
 
 
 def _check_top_n(top_n: int, n_tags: int) -> None:

@@ -31,10 +31,10 @@ from .errors import (
     ShapeMismatchError,
     SingleClassError,
 )
-from .extractor import clip_embedding, extract, resolve_feature_key
+from .extractor import clip_embedding, resolve_feature_key
 from .network import Model
 from .store import check_output_path, read_text
-from .tagger import resolve_model
+from .tagger import infer_file, resolve_model
 
 
 def _matrix(X, n_features: int | None = None) -> np.ndarray:
@@ -260,11 +260,7 @@ def run_pipeline(
     key = resolve_feature_key(model, feature_key)
 
     def embed(rows) -> np.ndarray:
-        vecs = []
-        for row in rows:
-            _, _, features = extract(row.path, model, extract_features=True)
-            vecs.append(clip_embedding(features, key))
-        return np.stack(vecs)
+        return np.stack([clip_embedding(infer_file(row.path, model, keys=(key,))[1], key) for row in rows])
 
     x_train = embed(train_rows)
     x_test = embed(test_rows)

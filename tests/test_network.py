@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meltag import network, ops, store, trainer
+from meltag import network, ops, store, tagger, trainer
 from meltag.errors import ConfigInvalidError, ShapeMismatchError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
@@ -517,9 +517,12 @@ POOLED_BLOCKS = {
 
 
 class TestPoolFirst:
+    @pytest.mark.parametrize("tape", ["tape", "no_tape"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", sorted(POOLED_BLOCKS))
-    def test_infer_block_equals_conv_bn_relu_pool_bit_for_bit(self, block, dtype):
+    def test_infer_block_equals_conv_bn_relu_pool_bit_for_bit(self, block, dtype, tape):
+        # with no tape conv2d pools each example's map. The gammas include 0
+        # and values < 0, whose min-pool branch no registry model reaches
         x_shape, w_shape, pad, pool = POOLED_BLOCKS[block]
         rng = np.random.default_rng(31)
         c = w_shape[0]
@@ -535,9 +538,29 @@ class TestPoolFirst:
         x = rng.normal(size=x_shape).astype(dtype)
         full = ops.batchnorm_infer(ops.conv2d(x, layer, *pad), layer, network.BN_EPSILON)
         want = pool(ops.relu(full))
-        got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {}, pool)
+        got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {} if tape == "tape" else None, pool)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestInferBatch:
+    @pytest.mark.parametrize("mode", ["float32", "float64"])
+    @pytest.mark.parametrize(
+        "family, backend",
+        [("musicnn", "temporal_pooling"), ("musicnn", "attention"), ("vgg", "temporal_pooling")],
+    )
+    def test_no_tape_forward_equals_the_recording_forward(self, family, backend, mode):
+        cfg = trainer.toy_model_config(family, backend)
+        model = build_model(cfg, seed=23, mode=mode)
+        _random_bn(model, 6)
+        patches, _ = trainer.synthetic_dataset(cfg, 4, seed=2)
+        logits, trace, tape = forward_batch(patches, model)
+        got_logits, got = network.infer_batch(patches, model)
+        assert tape and got_logits.tobytes() == logits.tobytes()
+        assert set(got) == set(trace)
+        for key, want in trace.items():
+            assert (got[key].dtype, got[key].shape) == (want.dtype, want.shape), key
+            assert got[key].tobytes() == want.tobytes(), key
 
 
 def _c_ordered_copy(value):
@@ -663,3 +686,22 @@ class TestInferMemory:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20, f"{name} forward peaked at {peak / 2**20:.0f} MiB"
+
+    @pytest.mark.parametrize("name", ["MTT_musicnn", "MTT_vgg"])
+    def test_taggram_peak_does_not_grow_with_clip_length(self, name, monkeypatch):
+        """No tape, conv maps pooled per example and only `output` kept per
+        batch: 200 patches peak within 10 % of 20 (network side only)."""
+        model = store.load_registry_model(name)
+        cfg = model.config.dsp
+        peaks = []
+        for n in (20, 200):
+            patches = np.random.default_rng(0).normal(size=(n, cfg.patch_frames, cfg.n_mels))
+            patches = patches.astype(np.float32)
+            monkeypatch.setattr(tagger, "audio_patches", lambda path, model: patches)
+            tracemalloc.start()
+            try:
+                tagger.compute_taggram("unread.wav", model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], f"{name}: {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB"

@@ -109,6 +109,21 @@ class TestConv2d:
         with pytest.raises(NumericFaultError):
             ops.conv2d(x, LayerParams("c", weights=np.ones((1, 1, 2, 2))))
 
+    def test_fault_names_the_layer_and_batch_row(self):
+        x = np.ones((3, 1, 4, 4))
+        x[2, 0, 1, 2] = np.nan
+        with pytest.raises(NumericFaultError, match=r"^c: conv2d \(batch row 2\)"):
+            ops.conv2d(x, LayerParams("c", weights=np.ones((2, 1, 2, 2))))
+
+    def test_pooled_fault_is_seen_before_the_pool_hides_it(self):
+        # one window overflows to -inf in float32; the max over width keeps
+        # the finite neighbours, so only a check before the pool sees it
+        x = np.ones((2, 1, 3, 4), dtype=np.float32)
+        x[1, 0, 1, 0] = 3e38
+        params = LayerParams("t", weights=np.full((1, 1, 1, 1), -10.0, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericFaultError, match=r"^t: conv2d \(batch row 1\)"):
+            ops.conv2d_pool(x, params, 0, 0, lambda z: ops.pool_max_over_axis(z, 3))
+
     def test_backward_zero_grad_out(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5, 5))

@@ -69,20 +69,20 @@ class TestTaggram:
 
     @pytest.mark.parametrize("family", ["musicnn", "vgg"])
     def test_long_clip_runs_in_batches_of_at_most_20(self, family, wav_factory, monkeypatch):
-        """A 44-patch clip never reaches forward_batch whole, and its taggram
+        """A 44-patch clip never reaches infer_batch whole, and its taggram
         and trace equal one whole-clip batch byte for byte."""
         cfg = tiny_musicnn(backend="attention") if family == "musicnn" else tiny_vgg()
         model = build_model(cfg, seed=6)
         path = wav_factory(np.random.default_rng(3).uniform(-0.5, 0.5, 256 * 45), 2000)
-        forward_batch = network.forward_batch
-        _, whole, _ = forward_batch(tagger.audio_patches(path, model), model)
+        _, whole, _ = network.forward_batch(tagger.audio_patches(path, model), model)
+        infer_batch = network.infer_batch
         sizes = []
 
         def spy(patches, *args, **kwargs):
             sizes.append(len(patches))
-            return forward_batch(patches, *args, **kwargs)
+            return infer_batch(patches, *args, **kwargs)
 
-        monkeypatch.setattr(network, "forward_batch", spy)
+        monkeypatch.setattr(network, "infer_batch", spy)
         gram, trace = tagger.infer_file(path, model)
         assert sum(sizes) == 44 and max(sizes) <= 20
         assert set(trace) == set(whole)
