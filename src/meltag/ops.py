@@ -15,7 +15,10 @@ over a C-ordered copy. Every op takes a whole batch: convolution inputs are
 single example); batch normalization takes [batch, channels, ...] in both
 modes. Row b of a batched call is bit for bit the call on example b alone,
 and parameter gradients come back already summed over the batch in example
-index order.
+index order. Backwards build no full-size scratch read only once:
+conv2d_backward adds tap planes to the input gradient in row-major tap
+order, as a sum over tap axes would; pool_max_backward selects each
+window's first max; train-mode batch norm works in place.
 
 Every forward surfaces NaN/Inf as NumericFaultError (conv2d names the layer
 and batch row): silent non-finite values would otherwise poison gradient
@@ -70,11 +73,14 @@ class LayerParams:
             raise ShapeMismatchError(f"{self.name}: partial batch-norm tensor set")
 
 
-def _ensure_finite(op: str, *arrays: np.ndarray) -> None:
+def _finite(a: np.ndarray) -> bool:
     # NaN propagates through max, and ±inf is the max or the min: no bool array
-    for a in arrays:
-        if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
-            raise NumericFaultError(f"{op} produced non-finite values")
+    return not a.size or (math.isfinite(a.max()) and math.isfinite(a.min()))
+
+
+def _ensure_finite(op: str, *arrays: np.ndarray) -> None:
+    if not all(map(_finite, arrays)):
+        raise NumericFaultError(f"{op} produced non-finite values")
 
 
 # --- batching ------------------------------------------------------------------
@@ -134,9 +140,12 @@ def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool
         np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=m.reshape(len(w), -1))
         if params.bias is not None:
             m += params.bias[:, None, None]
-        _ensure_finite(f"{params.name}: conv2d (batch row {b})", m)
-        if pool:
+        if pool:  # the one map buffer is reused: check each map before its pool
+            _ensure_finite(f"{params.name}: conv2d (batch row {b})", m)
             out[b] = pool(maps.swapaxes(-1, -2))[0]
+    if not (pool or _finite(maps)):  # every map is kept: one check, rows scanned on failure
+        for b, m in enumerate(maps):
+            _ensure_finite(f"{params.name}: conv2d (batch row {b})", m)
     return out.reshape(x.shape[:-3] + out.shape[1:])
 
 
@@ -162,22 +171,23 @@ def conv2d_backward(
     gs = grad_out.reshape(xs.shape[:1] + grad_out.shape[-3:])
     (h, wd), (ho, wo) = x.shape[-2:], win.shape[2:4]
     # tap (i, j) of output (p, q) adds onto padded input (p + i, q + j). That is
-    # symmetric, so on each axis z gives the shorter of taps and outputs an axis
-    # of its own and lays the longer along the input through a strided view
-    # that maps no two elements to one; summing those axes does the scatter-add
-    z = np.zeros((len(xs), c_in, min(k_h, ho), min(k_w, wo), h + 2 * pad_h, wd + 2 * pad_w),
-                 dtype=np.result_type(w, gs))
-    st = z.strides
-    zv = as_strided(z, z.shape[:4] + (max(k_h, ho), max(k_w, wo)),
-                    st[:2] + (st[2] + st[4], st[3] + st[5]) + st[4:])
+    # symmetric, so on each axis the loop runs over the shorter of taps and outputs
+    # and adds a plane as long as the longer, planes in row-major (i, j) order
+    gp = np.zeros((len(xs), c_in, h + 2 * pad_h, wd + 2 * pad_w), dtype=np.result_type(w, gs))
+    wm = w.reshape(len(w), -1)
     grad_w = None
     for b in range(len(xs)):
-        gw = np.tensordot(gs[b], win[b], axes=([1, 2], [1, 2]))
+        g = gs[b].reshape(len(w), -1)  # the GEMMs tensordot would make, without its overhead
+        gw = np.dot(g, win[b].transpose(1, 2, 0, 3, 4).reshape(g.shape[1], -1)).reshape(w.shape)
         grad_w = gw if grad_w is None else grad_w + gw
-        cols = np.tensordot(w, gs[b], axes=([0], [0]))  # [C_in, kH, kW, H', W']
+        cols = np.dot(wm.T, g).reshape(c_in, k_h, k_w, ho, wo)
         cols = cols.swapaxes(1, 3) if k_h > ho else cols
-        zv[b] = cols.swapaxes(2, 4) if k_w > wo else cols
-    grad_x = z.sum(axis=(2, 3))[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
+        cols = cols.swapaxes(2, 4) if k_w > wo else cols
+        n, m = cols.shape[3:]
+        for i in range(cols.shape[1]):
+            for j in range(cols.shape[2]):
+                gp[b, :, i : i + n, j : j + m] += cols[:, i, j]
+    grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
     grad_b = _sum_examples(grad_out.sum(axis=(-2, -1)), 1) if params.bias is not None else None
     _ensure_finite("conv2d_backward", grad_x, grad_w)
     return grad_x, grad_w, grad_b
@@ -281,8 +291,10 @@ def batchnorm_train(
     mean = batch.mean(axis=axes)
     var = batch.var(axis=axes)
     inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim, 1) + epsilon)
-    xhat = (batch - _bn_shape(mean, batch.ndim, 1)) * inv
-    y = xhat * _bn_shape(params.bn_gamma, batch.ndim, 1) + _bn_shape(params.bn_beta, batch.ndim, 1)
+    xhat = batch - _bn_shape(mean, batch.ndim, 1)
+    xhat *= inv
+    y = xhat * _bn_shape(params.bn_gamma, batch.ndim, 1)
+    y += _bn_shape(params.bn_beta, batch.ndim, 1)
     _ensure_finite("batchnorm_train", y)
     cache = {"xhat": xhat, "inv": inv, "axes": axes, "count": batch.size // c}
     return y, mean, var, cache
@@ -294,13 +306,18 @@ def batchnorm_train_backward(
     """Gradients of batchnorm_train wrt (batch, gamma, beta)."""
     xhat, inv, axes, m = cache["xhat"], cache["inv"], cache["axes"], cache["count"]
     gamma = _bn_shape(params.bn_gamma, grad_out.ndim, 1)
-    grad_gamma = (grad_out * xhat).sum(axis=axes)
+    prod = grad_out * xhat  # one product buffer, reused below
+    grad_gamma = prod.sum(axis=axes)
     grad_beta = grad_out.sum(axis=axes)
     gxhat = grad_out * gamma
     sum_g = _bn_shape(gxhat.sum(axis=axes), grad_out.ndim, 1)
-    sum_gx = _bn_shape((gxhat * xhat).sum(axis=axes), grad_out.ndim, 1)
-    grad_x = (inv / m) * (m * gxhat - sum_g - xhat * sum_gx)
-    return grad_x, grad_gamma, grad_beta
+    sum_gx = _bn_shape(np.multiply(gxhat, xhat, out=prod).sum(axis=axes), grad_out.ndim, 1)
+    # grad_x = (inv / m) * (m * gxhat - sum_g - xhat * sum_gx), evaluated in that order in gxhat
+    gxhat *= m
+    gxhat -= sum_g
+    gxhat -= np.multiply(xhat, sum_gx, out=prod)
+    gxhat *= inv / m
+    return gxhat, grad_gamma, grad_beta
 
 
 # --- activations ------------------------------------------------------------
@@ -367,19 +384,17 @@ def pool_max(x: np.ndarray, window_h: int, window_w: int) -> np.ndarray:
 def pool_max_backward(
     x: np.ndarray, window_h: int, window_w: int, grad_out: np.ndarray
 ) -> np.ndarray:
-    """Routes each window's gradient to its first (lowest linear index) max."""
-    *lead, h, w = x.shape
-    ho, wo = h // window_h, w // window_w
-    tiles = x.reshape(*lead, ho, window_h, wo, window_w).swapaxes(-3, -2)
-    flat = tiles.reshape(*lead, ho, wo, window_h * window_w)
-    idx = flat.argmax(axis=-1)
-    grad_tiles = np.zeros_like(flat)
-    np.put_along_axis(grad_tiles, idx[..., None], grad_out[..., None], axis=-1)
-    return (
-        grad_tiles.reshape(*lead, ho, wo, window_h, window_w)
-        .swapaxes(-3, -2)
-        .reshape(x.shape)
-    )
+    """Routes each window's gradient to its first max in row-major order, by selection:
+    offsets are visited in that order and only a window's first hit copies grad_out."""
+    y = pool_max(x, window_h, window_w)
+    grad = np.zeros(x.shape, dtype=x.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for i in range(window_h):
+        for j in range(window_w):
+            hit = (x[..., i::window_h, j::window_w] == y) & free
+            np.copyto(grad[..., i::window_h, j::window_w], grad_out, where=hit)
+            free ^= hit
+    return grad
 
 
 def pool_mean_over_axis(x: np.ndarray, axis: int) -> np.ndarray:

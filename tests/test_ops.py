@@ -50,6 +50,40 @@ def conv_grad_x_oracle(w, grad_out, h, wd, pad_h, pad_w):
     return gxp[:, pad_h : pad_h + h, pad_w : pad_w + wd]
 
 
+def conv2d_backward_tap_axis_sum(x, params, grad_out, pad_h, pad_w):
+    """conv2d_backward with a 6-D col2im: every tap plane written into one
+    zeroed buffer through a strided view, then the two tap axes summed. The
+    op adds the same planes in the same order, so it must match byte for byte."""
+    w = params.weights
+    c_in, k_h, k_w = w.shape[1:]
+    xs = x.reshape((-1,) + x.shape[-3:])
+    win = ops._conv_windows(xs, k_h, k_w, pad_h, pad_w)
+    gs = grad_out.reshape(xs.shape[:1] + grad_out.shape[-3:])
+    (h, wd), (ho, wo) = x.shape[-2:], win.shape[2:4]
+    z = np.zeros((len(xs), c_in, min(k_h, ho), min(k_w, wo), h + 2 * pad_h, wd + 2 * pad_w),
+                 dtype=np.result_type(w, gs))
+    st = z.strides
+    zv = np.lib.stride_tricks.as_strided(
+        z, z.shape[:4] + (max(k_h, ho), max(k_w, wo)), st[:2] + (st[2] + st[4], st[3] + st[5]) + st[4:]
+    )
+    grad_w = None
+    for b in range(len(xs)):
+        gw = np.tensordot(gs[b], win[b], axes=([1, 2], [1, 2]))
+        grad_w = gw if grad_w is None else grad_w + gw
+        cols = np.tensordot(w, gs[b], axes=([0], [0]))
+        cols = cols.swapaxes(1, 3) if k_h > ho else cols
+        zv[b] = cols.swapaxes(2, 4) if k_w > wo else cols
+    grad_x = z.sum(axis=(2, 3))[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
+    grad_b = ops._sum_examples(grad_out.sum(axis=(-2, -1)), 1) if params.bias is not None else None
+    return grad_x, grad_w, grad_b
+
+
+def assert_same_bits(actual, expected):
+    """Same dtype, shape and bytes: -0.0 and NaN payloads count too."""
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
 # c_in, c_out, h, w, k_h, k_w, pad_h, pad_w: on each axis the input-gradient
 # scatter keeps the shorter of kernel and output map as an axis of its own,
 # so one row per orientation
@@ -113,6 +147,14 @@ class TestConv2d:
         x = np.ones((3, 1, 4, 4))
         x[2, 0, 1, 2] = np.nan
         with pytest.raises(NumericFaultError, match=r"^c: conv2d \(batch row 2\)"):
+            ops.conv2d(x, LayerParams("c", weights=np.ones((2, 1, 2, 2))))
+
+    def test_unpooled_fault_names_the_first_bad_row(self):
+        # the whole batch is checked once; only then are the rows scanned
+        x = np.ones((3, 1, 4, 4))
+        x[1, 0, 3, 3] = np.inf
+        x[2, 0, 0, 0] = np.nan
+        with pytest.raises(NumericFaultError, match=r"^c: conv2d \(batch row 1\)"):
             ops.conv2d(x, LayerParams("c", weights=np.ones((2, 1, 2, 2))))
 
     def test_pooled_fault_is_seen_before_the_pool_hides_it(self):
@@ -188,25 +230,56 @@ class TestConv2d:
             ref = conv_grad_x_oracle(w, grad_out, h, wd, pad_h, pad_w)
             np.testing.assert_allclose(gx, ref, rtol=1e-12, atol=1e-12)
 
-    def test_backward_memory_at_registry_timbral_shapes(self):
-        # MTT_musicnn timbral_0: a 7 x 86 kernel over 96 mel bins leaves an
-        # output map 11 bins wide, so copying every window of grad_out padded
-        # by k - 1 would take about 2.2 GB, nearly all of it zeros
-        rng = np.random.default_rng(26)
-        x = rng.normal(size=(1, 1, 187, 96)).astype(np.float32)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("shape", BACKWARD_SHAPES)
+    def test_backward_bits_equal_the_tap_axis_sum(self, shape, batch, dtype):
+        c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w = shape
+        self._assert_backward_bits(batch, c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k_w", [86, 38], ids=["timbral_0", "timbral_1"])
+    def test_backward_bits_equal_the_tap_axis_sum_at_registry_timbral_shapes(self, k_w, dtype):
+        self._assert_backward_bits(2, 1, 51, 187, 96, 7, k_w, 3, 0, dtype)
+
+    @staticmethod
+    def _assert_backward_bits(batch, c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w, dtype):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(batch, c_in, h, wd)).astype(dtype)
         params = LayerParams(
-            "timbral_0",
-            weights=rng.normal(size=(51, 1, 7, 86)).astype(np.float32),
+            "c",
+            weights=rng.normal(size=(c_out, c_in, k_h, k_w)).astype(dtype),
+            bias=rng.normal(size=c_out).astype(dtype),
+        )
+        grad_out = rng.normal(size=(batch, c_out, h + 2 * pad_h - k_h + 1, wd + 2 * pad_w - k_w + 1))
+        grad_out = grad_out.astype(dtype)
+        expected = conv2d_backward_tap_axis_sum(x, params, grad_out, pad_h, pad_w)
+        for got, want in zip(ops.conv2d_backward(x, params, grad_out, pad_h, pad_w), expected):
+            assert_same_bits(got, want)
+
+    # MTT_musicnn timbral_0: a 7 x 86 kernel over 96 mel bins leaves an output
+    # map 11 bins wide, so copying every window of grad_out padded by k - 1
+    # would take about 2.2 GB, nearly all of it zeros. timbral_1 at B = 2: a
+    # buffer of all 7 x 38 tap planes of the padded input would take 39 MB
+    @pytest.mark.parametrize(
+        "name, batch, k_w, limit_mib", [("timbral_0", 1, 86, 64), ("timbral_1", 2, 38, 32)]
+    )
+    def test_backward_memory_at_registry_timbral_shapes(self, name, batch, k_w, limit_mib):
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(batch, 1, 187, 96)).astype(np.float32)
+        params = LayerParams(
+            name,
+            weights=rng.normal(size=(51, 1, 7, k_w)).astype(np.float32),
             bias=np.zeros(51, dtype=np.float32),
         )
-        grad_out = rng.normal(size=(1, 51, 187, 11)).astype(np.float32)
+        grad_out = rng.normal(size=(batch, 51, 187, 97 - k_w)).astype(np.float32)
         tracemalloc.start()
         try:
             ops.conv2d_backward(x, params, grad_out, 3, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, f"conv2d_backward peaked at {peak / 2**20:.0f} MB"
+        assert peak < limit_mib * 2**20, f"conv2d_backward peaked at {peak / 2**20:.0f} MB"
 
     def test_backward_channel_mismatch(self):
         params = LayerParams("timbral_0", weights=np.zeros((1, 3, 2, 2)))
@@ -548,6 +621,17 @@ def pool_max_oracle(x, wh, ww):
     return y
 
 
+def pool_max_backward_argmax(x, window_h, window_w, grad_out):
+    """pool_max_backward by argmax over a tile copy, then put_along_axis into
+    zeros. The op selects the same first max, so it must match byte for byte."""
+    *lead, h, w = x.shape
+    ho, wo = h // window_h, w // window_w
+    flat = x.reshape(*lead, ho, window_h, wo, window_w).swapaxes(-3, -2).reshape(*lead, ho, wo, -1)
+    grad_tiles = np.zeros_like(flat)
+    np.put_along_axis(grad_tiles, flat.argmax(axis=-1)[..., None], grad_out[..., None], axis=-1)
+    return grad_tiles.reshape(*lead, ho, wo, window_h, window_w).swapaxes(-3, -2).reshape(x.shape)
+
+
 class TestPooling:
     def test_pool_max_matches_loop_oracle(self):
         rng = np.random.default_rng(16)
@@ -569,6 +653,22 @@ class TestPooling:
         x = np.array([[[1.0, 1.0], [0.0, 1.0]]])  # three tied maxima
         grad = ops.pool_max_backward(x, 2, 2, np.array([[[5.0]]]))
         np.testing.assert_array_equal(grad, [[[5.0, 0.0], [0.0, 0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width_major", [False, True])
+    @pytest.mark.parametrize("wh, ww", [(1, 1), (2, 2), (4, 4), (6, 3)])
+    def test_backward_bits_equal_the_argmax_scatter(self, wh, ww, width_major, dtype):
+        rng = np.random.default_rng(18)
+        x = np.maximum(rng.normal(size=(2, 3, 4 * wh, 5 * ww)), 0.0).astype(dtype)  # post-relu
+        x[0, 0, :wh, :ww] = 0.0  # an all-zero window
+        for c in range(3):  # a positive tie in one window per channel, planted after its max
+            tile = x[1, c, wh : 2 * wh, 2 * ww : 3 * ww]
+            tile.flat[-1] = tile.max() + 1.0
+            tile.flat[(c * 7) % tile.size] = tile.flat[-1]
+        if width_major:
+            x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+        grad_out = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+        assert_same_bits(ops.pool_max_backward(x, wh, ww, grad_out), pool_max_backward_argmax(x, wh, ww, grad_out))
 
     def test_axis_pool_tied_max_first_index(self):
         x = np.array([[2.0, 2.0, 1.0]])

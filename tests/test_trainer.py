@@ -1,9 +1,11 @@
 """Loss, optimizer, training loop, and the train CLI."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from meltag import cli, network, ops, trainer
+from meltag import cli, network, ops, store, trainer
 from meltag.errors import ConfigInvalidError, NumericFaultError
 from meltag.network import build_model, forward_batch
 from meltag.rng import SplitMix64
@@ -249,6 +251,21 @@ class TestFit:
                 if key == "attention_dense.bias":
                     continue
                 assert np.abs(grad).max() > 0, f"{family}/{backend}: {key}"
+
+    def test_registry_step_peak_memory(self):
+        """One MTT_musicnn fit step at batch 2 builds no full-size scratch in the
+        backward: a 6-D col2im buffer of every tap plane alone was 39 MB."""
+        model = store.load_registry_model("MTT_musicnn")
+        x, y = synthetic_dataset(model.config, 2, seed=3)
+        config = TrainConfig(batch_size=2, epochs=1, mode=model.mode)
+        fit(model, x, y, config)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            fit(model, x, y, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * 2**20, f"fit step peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestSyntheticDataset:
