@@ -61,10 +61,8 @@ def resolve_feature_key(model: Model, key: str | None = None) -> str:
 
 def write_feature_csv(feature: np.ndarray, path) -> None:
     """Patch-per-row CSV of the flattened feature, fixed 6-decimal cells."""
-    flat = feature.reshape(feature.shape[0], -1)
-    with open(path, "w", newline="") as fh:
-        for row in flat:
-            fh.write(",".join(f"{v:.6f}" for v in row) + "\n")
+    with open(path, "w", newline="") as fh:  # "\n" line ends on every platform
+        np.savetxt(fh, feature.reshape(len(feature), -1), fmt="%.6f", delimiter=",")
 
 
 def add_extractor_args(parser: argparse.ArgumentParser) -> None:

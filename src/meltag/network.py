@@ -230,13 +230,6 @@ class ModelConfig:
             }
         return out
 
-    def parameter_count(self) -> int:
-        return sum(
-            int(np.prod(shape))
-            for tensors in self.layer_shapes().values()
-            for shape in tensors.values()
-        )
-
     def trace_keys(self) -> frozenset[str]:
         if self.family == "vgg":
             return VGG_KEYS
@@ -296,14 +289,14 @@ class Model:
         return out
 
     def set_tensors(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite named parameter tensors in place (shapes must match)."""
+        """Overwrite named parameter tensors with C-order copies (shapes must match)."""
         dtype = self.dtype
         for key, value in values.items():
             layer_name, field_name = key.rsplit(".", 1)
             current = getattr(self._by_name[layer_name], field_name)
             if current is None or current.shape != value.shape:
                 raise ShapeMismatchError(f"cannot assign {key} with shape {value.shape}")
-            setattr(self._by_name[layer_name], field_name, value.astype(dtype))
+            setattr(self._by_name[layer_name], field_name, value.astype(dtype, order="C"))
 
     def astype(self, mode: str) -> "Model":
         """Copy with every tensor cast to the requested numeric mode."""

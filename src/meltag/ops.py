@@ -7,9 +7,7 @@ width (musicnn's frequency axis) combines whole rows of H instead of reducing
 one short row per output; maps computed from it elementwise keep that
 layout. conv2d_pool runs the same loop but stores a pool of each example's
 map, so a forward that needs only the pooled map never builds the batch's
-full maps. No op's bits depend on its inputs' layout: batchnorm_train and
-batchnorm_infer_backward, whose float sums would follow memory order, sum
-over a C-ordered copy. Every op takes a whole batch: convolution inputs are
+full maps. Every op takes a whole batch: convolution inputs are
 [..., channels, height, width], dense inputs [..., features] and max pooling
 [..., height, width], with any number of leading batch axes (none for a
 single example); batch normalization takes [batch, channels, ...] in both
@@ -18,12 +16,18 @@ and parameter gradients come back already summed over the batch in example
 index order. Backwards build no full-size scratch read only once:
 conv2d_backward adds tap planes to the input gradient in row-major tap
 order, as a sum over tap axes would; pool_max_backward selects each
-window's first max; train-mode batch norm works in place.
+window's first max; train-mode batch norm works in place. No op's bits
+depend on its inputs' layout (parameters are stored in C order): what an op
+sums or feeds to a matrix product is taken in C order, which copies only an
+input that is not (x in dense, batchnorm_train, batchnorm_infer_backward and
+pool_mean_over_axis; grad_out in dense_backward, batchnorm_train_backward
+and conv2d_backward's bias sum; the summed terms of both softmax ops), and
+the conv ops copy x into padded windows.
 
-Every forward surfaces NaN/Inf as NumericFaultError (conv2d names the layer
-and batch row): silent non-finite values would otherwise poison gradient
-checks downstream. No op mutates its inputs (bar relu's `out`), so read-only
-tensors may be shared across threads.
+Every forward surfaces NaN/Inf as NumericFaultError naming the layer (conv2d
+also names the batch row): silent non-finite values would otherwise poison
+gradient checks downstream. No op mutates its inputs (bar relu's `out`), so
+read-only tensors may be shared across threads.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericFaultError, ShapeMismatchError
 
@@ -109,7 +112,9 @@ def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int) -> 
     xp = np.zeros((*lead, hp, wp), dtype=x.dtype)
     xp[..., pad_h : pad_h + h, pad_w : pad_w + w] = x
     shape = (*lead, hp - k_h + 1, wp - k_w + 1, k_h, k_w)
-    return as_strided(xp, shape, xp.strides + xp.strides[-2:], writeable=False)
+    win = np.ndarray(shape, xp.dtype, xp, 0, xp.strides + xp.strides[-2:])
+    win.flags.writeable = False
+    return win
 
 
 def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -> np.ndarray:
@@ -188,8 +193,8 @@ def conv2d_backward(
             for j in range(cols.shape[2]):
                 gp[b, :, i : i + n, j : j + m] += cols[:, i, j]
     grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
-    grad_b = _sum_examples(grad_out.sum(axis=(-2, -1)), 1) if params.bias is not None else None
-    _ensure_finite("conv2d_backward", grad_x, grad_w)
+    grad_b = None if params.bias is None else _sum_examples(np.ascontiguousarray(grad_out).sum(axis=(-2, -1)), 1)
+    _ensure_finite(f"{params.name}: conv2d_backward", grad_x, grad_w)
     return grad_x, grad_w, grad_b
 
 
@@ -201,10 +206,10 @@ def dense(x: np.ndarray, params: LayerParams) -> np.ndarray:
     if x.ndim < 1 or w.ndim != 2 or w.shape[1] != x.shape[-1]:
         raise ShapeMismatchError(f"{params.name}: dense input {x.shape} vs weights {w.shape}")
     # one matrix-vector product per row; a single GEMM's bits vary with B
-    y = np.matmul(w, x[..., None])[..., 0]
+    y = np.matmul(w, np.ascontiguousarray(x)[..., None])[..., 0]
     if params.bias is not None:
         y = y + params.bias
-    _ensure_finite("dense", y)
+    _ensure_finite(f"{params.name}: dense", y)
     return y
 
 
@@ -218,16 +223,15 @@ def dense_backward(
         raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} vs weights {w.shape}")
     grad_w = _sum_examples(grad_out[..., :, None] * x[..., None, :], 2)
     grad_b = _sum_examples(grad_out, 1) if params.bias is not None else None
-    grad_x = np.matmul(w.T, grad_out[..., None])[..., 0]
+    grad_x = np.matmul(w.T, np.ascontiguousarray(grad_out)[..., None])[..., 0]
     return grad_x, grad_w, grad_b
 
 
 # --- batch normalization ----------------------------------------------------
 
-def _bn_shape(param: np.ndarray, ndim: int, channel_axis: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[channel_axis] = param.shape[0]
-    return param.reshape(shape)
+def _bn_shape(param: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-channel [C] parameter as [1, C, 1, ...], broadcastable over [B, C, ...]."""
+    return param.reshape((1, -1) + (1,) * (ndim - 2))
 
 
 def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -> np.ndarray:
@@ -235,13 +239,13 @@ def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -
     if x.ndim < 2 or params.bn_gamma is None or params.bn_gamma.shape[0] != x.shape[1]:
         raise ShapeMismatchError(f"{params.name}: bn parameters do not match input {x.shape}")
     gamma, beta, mean, var = (
-        _bn_shape(t, x.ndim, 1) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
+        _bn_shape(t, x.ndim) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
     )
     y = x - mean
     y /= np.sqrt(var + epsilon)
     y *= gamma
     y += beta
-    _ensure_finite("batchnorm_infer", y)
+    _ensure_finite(f"{params.name}: batchnorm_infer", y)
     return y
 
 
@@ -261,9 +265,9 @@ def batchnorm_infer_backward(
     # float sums follow memory order: sum in C order whatever the inputs' layout
     x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     axes = tuple(range(2, x.ndim))
-    gamma = _bn_shape(params.bn_gamma, x.ndim, 1)
-    mean = _bn_shape(params.bn_mean, x.ndim, 1)
-    var = _bn_shape(params.bn_var, x.ndim, 1)
+    gamma = _bn_shape(params.bn_gamma, x.ndim)
+    mean = _bn_shape(params.bn_mean, x.ndim)
+    var = _bn_shape(params.bn_var, x.ndim)
     inv = 1.0 / np.sqrt(var + epsilon)
     xc = x - mean
     grad_x = grad_out * gamma * inv
@@ -290,12 +294,12 @@ def batchnorm_train(
     axes = (0,) + tuple(range(2, batch.ndim))
     mean = batch.mean(axis=axes)
     var = batch.var(axis=axes)
-    inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim, 1) + epsilon)
-    xhat = batch - _bn_shape(mean, batch.ndim, 1)
+    inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim) + epsilon)
+    xhat = batch - _bn_shape(mean, batch.ndim)
     xhat *= inv
-    y = xhat * _bn_shape(params.bn_gamma, batch.ndim, 1)
-    y += _bn_shape(params.bn_beta, batch.ndim, 1)
-    _ensure_finite("batchnorm_train", y)
+    y = xhat * _bn_shape(params.bn_gamma, batch.ndim)
+    y += _bn_shape(params.bn_beta, batch.ndim)
+    _ensure_finite(f"{params.name}: batchnorm_train", y)
     cache = {"xhat": xhat, "inv": inv, "axes": axes, "count": batch.size // c}
     return y, mean, var, cache
 
@@ -305,13 +309,14 @@ def batchnorm_train_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of batchnorm_train wrt (batch, gamma, beta)."""
     xhat, inv, axes, m = cache["xhat"], cache["inv"], cache["axes"], cache["count"]
-    gamma = _bn_shape(params.bn_gamma, grad_out.ndim, 1)
+    grad_out = np.ascontiguousarray(grad_out)  # float sums follow memory order: sum in C order
+    gamma = _bn_shape(params.bn_gamma, grad_out.ndim)
     prod = grad_out * xhat  # one product buffer, reused below
     grad_gamma = prod.sum(axis=axes)
     grad_beta = grad_out.sum(axis=axes)
     gxhat = grad_out * gamma
-    sum_g = _bn_shape(gxhat.sum(axis=axes), grad_out.ndim, 1)
-    sum_gx = _bn_shape(np.multiply(gxhat, xhat, out=prod).sum(axis=axes), grad_out.ndim, 1)
+    sum_g = _bn_shape(gxhat.sum(axis=axes), grad_out.ndim)
+    sum_gx = _bn_shape(np.multiply(gxhat, xhat, out=prod).sum(axis=axes), grad_out.ndim)
     # grad_x = (inv / m) * (m * gxhat - sum_g - xhat * sum_gx), evaluated in that order in gxhat
     gxhat *= m
     gxhat -= sum_g
@@ -351,13 +356,13 @@ def softmax_over_axis(x: np.ndarray, axis: int) -> np.ndarray:
     """Shift-invariant softmax along one axis."""
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / np.ascontiguousarray(e).sum(axis=axis, keepdims=True)
     _ensure_finite("softmax_over_axis", y)
     return y
 
 
 def softmax_backward(y: np.ndarray, grad_out: np.ndarray, axis: int) -> np.ndarray:
-    inner = (grad_out * y).sum(axis=axis, keepdims=True)
+    inner = np.ascontiguousarray(grad_out * y).sum(axis=axis, keepdims=True)
     return y * (grad_out - inner)
 
 
@@ -398,7 +403,7 @@ def pool_max_backward(
 
 
 def pool_mean_over_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    return x.mean(axis=axis)
+    return np.ascontiguousarray(x).mean(axis=axis)
 
 
 def pool_mean_over_axis_backward(

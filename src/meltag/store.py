@@ -18,7 +18,6 @@ import os
 
 import numpy as np
 
-from .dsp import DspConfig
 from .errors import (
     BadMagicError,
     ConfigInvalidError,
@@ -60,39 +59,22 @@ MSD_TAGS = (
 )
 
 
-def _registry_configs() -> dict[str, tuple[ModelConfig, tuple[str, ...]]]:
-    base = dict(dsp=DspConfig())
-    return {
-        "MTT_musicnn": (ModelConfig(family="musicnn", backend="temporal_pooling", **base), MTT_TAGS),
-        "MSD_musicnn": (ModelConfig(family="musicnn", backend="attention", **base), MSD_TAGS),
-        "MSD_musicnn_big": (
-            ModelConfig(
-                family="musicnn",
-                backend="attention",
-                midend_channels=512,
-                penultimate_units=500,
-                **base,
-            ),
-            MSD_TAGS,
-        ),
-        "MTT_vgg": (ModelConfig(family="vgg", **base), MTT_TAGS),
-        "MSD_vgg": (ModelConfig(family="vgg", **base), MSD_TAGS),
-    }
-
-
-MODEL_NAMES = tuple(_registry_configs())
-
-
-def registry_names() -> tuple[str, ...]:
-    return MODEL_NAMES
+_REGISTRY: dict[str, tuple[ModelConfig, tuple[str, ...]]] = {
+    "MTT_musicnn": (ModelConfig(family="musicnn", backend="temporal_pooling"), MTT_TAGS),
+    "MSD_musicnn": (ModelConfig(family="musicnn", backend="attention"), MSD_TAGS),
+    "MSD_musicnn_big": (
+        ModelConfig(family="musicnn", backend="attention", midend_channels=512, penultimate_units=500), MSD_TAGS
+    ),
+    "MTT_vgg": (ModelConfig(family="vgg"), MTT_TAGS),
+    "MSD_vgg": (ModelConfig(family="vgg"), MSD_TAGS),
+}
+MODEL_NAMES = tuple(_REGISTRY)
 
 
 def registry_get(name: str) -> tuple[ModelConfig, tuple[str, ...]]:
-    configs = _registry_configs()
-    if name not in configs:
-        known = ", ".join(MODEL_NAMES)
-        raise UnknownModelError(f"unknown model {name!r}; known models: {known}")
-    return configs[name]
+    if name not in _REGISTRY:
+        raise UnknownModelError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+    return _REGISTRY[name]
 
 
 def load_registry_model(name: str) -> Model:

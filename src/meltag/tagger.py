@@ -19,7 +19,7 @@ from .errors import TopNOutOfRangeError
 from .network import Model
 from .store import MODEL_NAMES, check_output_path, load_model, load_registry_model
 
-INFER_BATCH = 20  # patches per forward_batch in infer_file, which bounds its memory
+INFER_BATCH = 20  # patches per infer_batch call in infer_file, which bounds its memory
 
 
 @dataclass(frozen=True)

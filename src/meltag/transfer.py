@@ -240,12 +240,10 @@ def run_pipeline(
     k: int = 128,
     reg_strength: float = 1e-3,
     epochs: int = 200,
-    seed: int = 0,
 ) -> PipelineReport:
     """Embed every clip, fit PCA + SVM on the train split, score both splits.
 
-    Every argument is checked before the first clip is decoded. The pipeline
-    draws no random numbers: `seed` is accepted and changes nothing.
+    Every argument is checked before the first clip is decoded.
     """
     if k < 1:
         raise ConfigInvalidError(f"pca components must be >= 1, got {k}")

@@ -117,6 +117,22 @@ class TestFeatureCsv:
         write_feature_csv(np.array([[0.5, 1.0], [0.125, 2.0]]), path)
         assert path.read_text() == "0.500000,1.000000\n0.125000,2.000000\n"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(12,), (2, 3, 2)])
+    def test_edge_value_bytes(self, tmp_path, dtype, shape):
+        info = np.finfo(dtype)
+        values = [-0.0, -1e-9, 5e-7, -5e-7, 1e20, -1e20, info.max, info.smallest_subnormal,
+                  1 / 3, -2.0000005, 2.5e-6, 0.1234565]
+        big = [f"{int(dtype(v))}.000000" for v in (1e20, -1e20, info.max)]
+        # float32 rounds the last four before formatting, so their sixth decimals differ
+        tail = (["0.333333", "-2.000000", "0.000002", "0.123457"] if dtype is np.float32
+                else ["0.333333", "-2.000001", "0.000003", "0.123456"])
+        cells = ["-0.000000", "-0.000000", "0.000000", "-0.000000", *big, "0.000000", *tail]
+        path = tmp_path / "f.csv"
+        write_feature_csv(np.array(values, dtype=dtype).reshape(shape), path)
+        rows = [cells[i : i + 12 // shape[0]] for i in range(0, 12, 12 // shape[0])]
+        assert path.read_bytes() == "".join(",".join(r) + "\n" for r in rows).encode()
+
     def test_higher_rank_features_flatten(self, tmp_path):
         path = tmp_path / "f.csv"
         write_feature_csv(np.zeros((2, 2, 3)), path)

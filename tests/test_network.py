@@ -1,6 +1,7 @@
 """Architecture graphs: shape algebra, trace contracts, and exact gradients."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from meltag import network, ops, store, tagger, trainer
-from meltag.errors import ConfigInvalidError, ShapeMismatchError
+from meltag.errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
     MUSICNN_POOLING_KEYS,
@@ -82,7 +83,8 @@ class TestConfigAlgebra:
     def test_parameter_count_matches_built_model(self):
         for cfg in (tiny_musicnn(), tiny_musicnn(backend="attention"), tiny_vgg()):
             model = build_model(cfg, seed=1)
-            assert sum(t.size for t in model.tensors().values()) == cfg.parameter_count()
+            shapes = [s for tensors in cfg.layer_shapes().values() for s in tensors.values()]
+            assert sum(t.size for t in model.tensors().values()) == sum(map(math.prod, shapes))
 
     def test_trace_keys_per_variant(self):
         assert tiny_musicnn().trace_keys() == MUSICNN_POOLING_KEYS
@@ -184,6 +186,16 @@ class TestBuildModel:
         model = build_model(tiny_musicnn(), seed=1)
         with pytest.raises(ShapeMismatchError):
             model.set_tensors({"output_dense.bias": np.zeros(5)})
+
+    def test_set_tensors_stores_c_order(self):
+        # ops promise layout-free bits only for C-order parameters
+        model = build_model(trainer.toy_model_config(), seed=1)
+        patches, _ = trainer.synthetic_dataset(model.config, 3, seed=0)
+        before = network.infer_batch(patches, model)[0]
+        weights = model.tensors()["output_dense.weights"]
+        model.set_tensors({"output_dense.weights": np.asfortranarray(weights)})
+        assert model.tensors()["output_dense.weights"].flags.c_contiguous
+        assert network.infer_batch(patches, model)[0].tobytes() == before.tobytes()
 
     def test_astype_round_trip_preserves_values(self):
         model = build_model(tiny_musicnn(), seed=2)
@@ -341,6 +353,26 @@ class TestForward:
         model = build_model(cfg, seed=10)
         p = _patch(cfg)
         np.testing.assert_array_equal(_trace(p, model)["output"], _trace(p, model)["output"])
+
+
+class TestNumericFaults:
+    @pytest.mark.parametrize(
+        "key, bn_mode, op",
+        [
+            ("output_dense.weights", "infer", "dense"),
+            ("input_bn.bn_gamma", "infer", "batchnorm_infer"),
+            ("input_bn.bn_gamma", "train", "batchnorm_train"),
+        ],
+    )
+    def test_fault_names_its_layer(self, key, bn_mode, op):
+        model = build_model(trainer.toy_model_config(), seed=1)
+        bad = model.tensors()[key].copy()
+        bad.flat[0] = np.nan
+        model.set_tensors({key: bad})
+        patches, _ = trainer.synthetic_dataset(model.config, 2, seed=0)
+        layer = key.split(".")[0]
+        with pytest.raises(NumericFaultError, match=rf"^{layer}: {op} produced non-finite values"):
+            forward_batch(patches, model, bn_mode=bn_mode)
 
 
 class TestTrainMode:

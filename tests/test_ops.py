@@ -166,6 +166,12 @@ class TestConv2d:
         with np.errstate(over="ignore"), pytest.raises(NumericFaultError, match=r"^t: conv2d \(batch row 1\)"):
             ops.conv2d_pool(x, params, 0, 0, lambda z: ops.pool_max_over_axis(z, 3))
 
+    def test_backward_fault_names_the_layer(self):
+        grad_out = np.ones((2, 1, 3, 3))
+        grad_out[1, 0, 2, 2] = np.nan
+        with pytest.raises(NumericFaultError, match=r"^c: conv2d_backward produced"):
+            ops.conv2d_backward(np.ones((2, 1, 4, 4)), LayerParams("c", weights=np.ones((1, 1, 2, 2))), grad_out)
+
     def test_backward_zero_grad_out(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5, 5))
@@ -482,30 +488,6 @@ class TestBatchNorm:
         inputs = {"x": rng.normal(size=(4, 2, 3)), "g": rng.normal(size=2), "be": rng.normal(size=2)}
         report = ops.grad_check(f, inputs, tolerance=1e-5)
         assert report.passed, str(report)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_layout_of_the_input_does_not_change_bits(self, dtype):
-        # conv maps arrive as width-major views, and float sums follow memory
-        # order; both ops sum over the C-ordered copy
-        rng = np.random.default_rng(14)
-        params = LayerParams(
-            "bn",
-            bn_gamma=rng.normal(size=4).astype(dtype),
-            bn_beta=rng.normal(size=4).astype(dtype),
-            bn_mean=rng.normal(size=4).astype(dtype),
-            bn_var=rng.uniform(0.5, 2.0, 4).astype(dtype),
-        )
-        view = rng.normal(loc=3.0, size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
-        grad = rng.normal(size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
-        copy, grad_copy = np.ascontiguousarray(view), np.ascontiguousarray(grad)
-        y, mean, var, cache = ops.batchnorm_train(view, params)
-        y_c, mean_c, var_c, cache_c = ops.batchnorm_train(copy, params)
-        got = [y, mean, var, cache["xhat"], cache["inv"]]
-        want = [y_c, mean_c, var_c, cache_c["xhat"], cache_c["inv"]]
-        got += ops.batchnorm_infer_backward(view, params, grad)
-        want += ops.batchnorm_infer_backward(copy, params, grad_copy)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_infer_backward_channel_mismatch(self):
         params = LayerParams(
@@ -893,3 +875,92 @@ class TestBatchedOps:
             sgx, *sgrads = ops.batchnorm_infer_backward(x[b : b + 1], params, grad_out[b : b + 1])
             singles.append(((ops.batchnorm_infer(x[b : b + 1], params)[0], sgx[0]), sgrads))
         _assert_rows_and_sums(((y, gx), param_grads), singles, shape[:1])
+
+
+# --- one layout contract for every op ------------------------------------------
+
+def _layout_case(name, dtype):
+    """(op, *args) for one op on fixed values in C order."""
+    rng = np.random.default_rng(30)
+
+    def normal(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    conv = LayerParams("c", weights=normal(3, 2, 3, 4), bias=normal(3))
+    fc = LayerParams("d", weights=normal(5, 37), bias=normal(5))
+    bn = LayerParams("bn", bn_gamma=normal(3), bn_beta=normal(3), bn_mean=normal(3),
+                     bn_var=rng.uniform(0.5, 2.0, 3).astype(dtype))
+    x, m, g = normal(2, 2, 12, 10), normal(2, 3, 37, 29), normal(2, 3, 37, 29)
+    op, _, axis = name.partition("@")
+    axis = int(axis or 0)
+    return {
+        "conv2d": (ops.conv2d, x, conv, 1, 1),
+        "conv2d_pool": (ops.conv2d_pool, x, conv, 1, 1, lambda z: ops.pool_max_over_axis(z, 3)),
+        "conv2d_backward": (ops.conv2d_backward, x, conv, normal(2, 3, 12, 9), 1, 1),
+        "dense": (ops.dense, normal(4, 37), fc),
+        "dense_backward": (ops.dense_backward, normal(4, 37), fc, normal(4, 5)),
+        "batchnorm_infer": (ops.batchnorm_infer, m, bn),
+        "batchnorm_infer_backward": (ops.batchnorm_infer_backward, m, bn, g),
+        "batchnorm_train": (ops.batchnorm_train, m, bn),
+        "batchnorm_train_backward": (ops.batchnorm_train_backward, bn, ops.batchnorm_train(m, bn)[3], g),
+        "relu": (ops.relu, m),
+        "relu_backward": (ops.relu_backward, m, g),
+        "sigmoid": (ops.sigmoid, m),
+        "softmax_over_axis": (ops.softmax_over_axis, m, axis),
+        "softmax_backward": (ops.softmax_backward, ops.softmax_over_axis(m, axis), g, axis),
+        "pool_max": (ops.pool_max, normal(2, 3, 36, 28), 2, 2),
+        "pool_max_backward": (ops.pool_max_backward, normal(2, 3, 36, 28), 2, 2, normal(2, 3, 18, 14)),
+        "pool_mean_over_axis": (ops.pool_mean_over_axis, m, axis),
+        "pool_mean_over_axis_backward": (ops.pool_mean_over_axis_backward, m.shape, axis, m.sum(axis)),
+        "pool_max_over_axis": (ops.pool_max_over_axis, m, axis),
+        "pool_max_over_axis_backward": (ops.pool_max_over_axis_backward, m, axis, m.sum(axis)),
+    }[op]
+
+
+def _width_major(a):
+    """The same values with the last two axes swapped in memory."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) if a.ndim > 1 else a
+
+
+def _negative_stride(a):
+    return a[..., ::-1].copy()[..., ::-1]
+
+
+def _relaid(value, layout):
+    """Data tensors in `layout`; LayerParams stay as the model stores them, in C order."""
+    if isinstance(value, np.ndarray):
+        return layout(value)
+    if isinstance(value, dict):  # batchnorm_train's cache
+        return {k: _relaid(v, layout) for k, v in value.items()}
+    return value
+
+
+def _arrays(out):
+    if isinstance(out, np.ndarray):
+        return [out]
+    if isinstance(out, dict):
+        return [v for v in out.values() if isinstance(v, np.ndarray)]
+    return [a for o in out if o is not None for a in _arrays(o)]
+
+
+AXIS_OPS = ("softmax_over_axis", "softmax_backward", "pool_mean_over_axis",
+            "pool_mean_over_axis_backward", "pool_max_over_axis", "pool_max_over_axis_backward")
+LAYOUT_OPS = [
+    "conv2d", "conv2d_pool", "conv2d_backward", "dense", "dense_backward", "batchnorm_infer",
+    "batchnorm_infer_backward", "batchnorm_train", "batchnorm_train_backward", "relu",
+    "relu_backward", "sigmoid", "pool_max", "pool_max_backward",
+    *(f"{op}@{axis}" for op in AXIS_OPS for axis in (-2, -1)),
+]
+
+
+class TestLayoutContract:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", [_width_major, _negative_stride], ids=["width_major", "negative_stride"])
+    @pytest.mark.parametrize("name", LAYOUT_OPS)
+    def test_bits_do_not_depend_on_the_inputs_layout(self, name, layout, dtype):
+        op, *args = _layout_case(name, dtype)
+        want = _arrays(op(*args))
+        got = _arrays(op(*(_relaid(a, layout) for a in args)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)

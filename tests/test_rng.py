@@ -17,7 +17,7 @@ import pytest
 from meltag import rng
 from meltag.errors import ConfigInvalidError
 from meltag.rng import SplitMix64
-from meltag.store import load_registry_model, registry_names
+from meltag.store import MODEL_NAMES, load_registry_model
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -115,7 +115,7 @@ REGISTRY_SHA256 = {
 
 
 def test_registry_pins_every_model():
-    assert set(registry_names()) == set(REGISTRY_SHA256)
+    assert set(MODEL_NAMES) == set(REGISTRY_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY_SHA256))

@@ -20,12 +20,12 @@ from meltag.errors import (
 )
 from meltag.network import build_model, forward_batch
 from meltag.store import (
+    MODEL_NAMES,
     field_lines,
     load_model,
     load_registry_model,
     parse_fields,
     registry_get,
-    registry_names,
     save_model,
 )
 
@@ -70,7 +70,7 @@ def _put_float32(blob, offset, value):
 
 class TestRegistry:
     def test_exactly_five_models(self):
-        assert registry_names() == (
+        assert MODEL_NAMES == (
             "MTT_musicnn",
             "MSD_musicnn",
             "MSD_musicnn_big",
@@ -94,7 +94,7 @@ class TestRegistry:
         assert base.penultimate_units == 200
 
     def test_vocabularies_are_fifty_distinct_tags(self):
-        for name in registry_names():
+        for name in MODEL_NAMES:
             tags = registry_get(name)[1]
             assert len(tags) == 50
             assert len(set(tags)) == 50

@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, and the train CLI."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -308,7 +309,8 @@ class TestToyConfigs:
 
     def test_all_variants_are_trainable_sizes(self):
         for cfg in (toy_model_config(), toy_model_config(backend="attention"), toy_model_config("vgg")):
-            assert cfg.parameter_count() < 20000
+            shapes = [s for tensors in cfg.layer_shapes().values() for s in tensors.values()]
+            assert sum(map(math.prod, shapes)) < 20000
 
 
 class TestTrainCli:
