@@ -193,7 +193,9 @@ def conv2d_backward(
             for j in range(cols.shape[2]):
                 gp[b, :, i : i + n, j : j + m] += cols[:, i, j]
     grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
-    grad_b = None if params.bias is None else _sum_examples(np.ascontiguousarray(grad_out).sum(axis=(-2, -1)), 1)
+    grad_b = None
+    if params.bias is not None:
+        grad_b = _sum_examples(np.ascontiguousarray(grad_out).sum(axis=(-2, -1)), 1)
     _ensure_finite(f"{params.name}: conv2d_backward", grad_x, grad_w)
     return grad_x, grad_w, grad_b
 

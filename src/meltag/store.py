@@ -63,7 +63,13 @@ _REGISTRY: dict[str, tuple[ModelConfig, tuple[str, ...]]] = {
     "MTT_musicnn": (ModelConfig(family="musicnn", backend="temporal_pooling"), MTT_TAGS),
     "MSD_musicnn": (ModelConfig(family="musicnn", backend="attention"), MSD_TAGS),
     "MSD_musicnn_big": (
-        ModelConfig(family="musicnn", backend="attention", midend_channels=512, penultimate_units=500), MSD_TAGS
+        ModelConfig(
+            family="musicnn",
+            backend="attention",
+            midend_channels=512,
+            penultimate_units=500,
+        ),
+        MSD_TAGS,
     ),
     "MTT_vgg": (ModelConfig(family="vgg"), MTT_TAGS),
     "MSD_vgg": (ModelConfig(family="vgg"), MSD_TAGS),
@@ -73,7 +79,8 @@ MODEL_NAMES = tuple(_REGISTRY)
 
 def registry_get(name: str) -> tuple[ModelConfig, tuple[str, ...]]:
     if name not in _REGISTRY:
-        raise UnknownModelError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
+        known = ", ".join(MODEL_NAMES)
+        raise UnknownModelError(f"unknown model {name!r}; known models: {known}")
     return _REGISTRY[name]
 
 

@@ -489,6 +489,30 @@ class TestBatchNorm:
         report = ops.grad_check(f, inputs, tolerance=1e-5)
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layout_of_the_input_does_not_change_bits(self, dtype):
+        # conv maps arrive as width-major views, and float sums follow memory
+        # order; both ops sum over the C-ordered copy
+        rng = np.random.default_rng(14)
+        params = LayerParams(
+            "bn",
+            bn_gamma=rng.normal(size=4).astype(dtype),
+            bn_beta=rng.normal(size=4).astype(dtype),
+            bn_mean=rng.normal(size=4).astype(dtype),
+            bn_var=rng.uniform(0.5, 2.0, 4).astype(dtype),
+        )
+        view = rng.normal(loc=3.0, size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
+        grad = rng.normal(size=(3, 4, 37, 29)).astype(dtype).swapaxes(-1, -2)
+        copy, grad_copy = np.ascontiguousarray(view), np.ascontiguousarray(grad)
+        y, mean, var, cache = ops.batchnorm_train(view, params)
+        y_c, mean_c, var_c, cache_c = ops.batchnorm_train(copy, params)
+        got = [y, mean, var, cache["xhat"], cache["inv"]]
+        want = [y_c, mean_c, var_c, cache_c["xhat"], cache_c["inv"]]
+        got += ops.batchnorm_infer_backward(view, params, grad)
+        want += ops.batchnorm_infer_backward(copy, params, grad_copy)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
     def test_infer_backward_channel_mismatch(self):
         params = LayerParams(
             "input_bn", bn_gamma=np.ones(2), bn_beta=np.zeros(2), bn_mean=np.zeros(2), bn_var=np.ones(2)

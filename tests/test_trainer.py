@@ -1,6 +1,5 @@
 """Loss, optimizer, training loop, and the train CLI."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -309,8 +308,7 @@ class TestToyConfigs:
 
     def test_all_variants_are_trainable_sizes(self):
         for cfg in (toy_model_config(), toy_model_config(backend="attention"), toy_model_config("vgg")):
-            shapes = [s for tensors in cfg.layer_shapes().values() for s in tensors.values()]
-            assert sum(map(math.prod, shapes)) < 20000
+            assert sum(t.size for t in build_model(cfg, seed=1).tensors().values()) < 20000
 
 
 class TestTrainCli:
