@@ -44,14 +44,12 @@ def _binary_labels(labels, n: int, name: str = "labels") -> np.ndarray:
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, tied values sharing the average of their positions."""
     order = np.argsort(values, kind="mergesort")
+    ranked = values[order]
+    # a run starts wherever the sorted value changes; NaN != NaN starts one per NaN
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], len(values)]
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(order):
-        j = i + 1  # always advances, even on a value unequal to itself
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)  # average of ranks start+1 .. end
     return ranks
 
 

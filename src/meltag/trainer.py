@@ -94,15 +94,8 @@ def adam_step(
     out = {}
     for key, g in grads.items():
         g = np.asarray(g, dtype=np.float64)
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
-        v = state.v[key]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[key] = m
-        state.v[key] = v
+        m = state.m[key] = b1 * state.m.get(key, 0.0) + (1.0 - b1) * g  # moments start at zero
+        v = state.v[key] = b2 * state.v.get(key, 0.0) + (1.0 - b2) * g * g
         step = config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
         out[key] = params[key] - step
     return out
@@ -113,9 +106,7 @@ class TrainLog:
     epoch_losses: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["epoch,loss"]
-        lines += [f"{i + 1},{loss:.6f}" for i, loss in enumerate(self.epoch_losses)]
-        return "\n".join(lines) + "\n"
+        return "epoch,loss\n" + "".join(f"{i},{loss:.6f}\n" for i, loss in enumerate(self.epoch_losses, start=1))
 
 
 def _update_running_stats(model: Model, tape: list) -> None:
@@ -131,7 +122,7 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         raise ConfigInvalidError(
             f"model mode {model.mode} != config mode {config.mode}; cast with model.astype()"
         )
-    x = np.asarray(patches, dtype=np.float64).astype(model.dtype)
+    x = np.asarray(patches, dtype=model.dtype)
     if x.ndim != 3:
         raise ShapeMismatchError(f"patches must be [examples, frames, mels], got shape {x.shape}")
     y = np.asarray(targets, dtype=np.float64)
@@ -141,6 +132,13 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         )
     if x.shape[0] == 0:
         raise ConfigInvalidError("dataset is empty")
+    # every example is checked before the first update changes the model
+    bad = np.flatnonzero(~np.isin(y, (0.0, 1.0)).all(axis=1))
+    if len(bad):
+        raise ConfigInvalidError(f"targets must be binary 0/1; example {bad[0]} is not")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+    if len(bad):
+        raise NumericFaultError(f"patch of example {bad[0]} holds a non-finite value")
 
     rng = SplitMix64(config.seed)
     state = AdamState()
@@ -232,17 +230,15 @@ def _parse_train_file(path) -> dict[str, str]:
     return fields
 
 
+_TOYS = {"toy_musicnn": ("musicnn",), "toy_musicnn_attention": ("musicnn", "attention"), "toy_vgg": ("vgg",)}
+
+
 def _model_from_name(name: str, mode: str) -> Model:
-    if name == "toy_musicnn":
-        cfg = toy_model_config("musicnn")
-    elif name == "toy_musicnn_attention":
-        cfg = toy_model_config("musicnn", backend="attention")
-    elif name == "toy_vgg":
-        cfg = toy_model_config("vgg")
+    if name in _TOYS:
+        cfg, tags = toy_model_config(*_TOYS[name]), None
     else:
         cfg, tags = registry_get(name)
-        return network.build_model(cfg, init="random", seed=0, tags=tags, mode=mode)
-    return network.build_model(cfg, init="random", seed=0, mode=mode)
+    return network.build_model(cfg, tags=tags, mode=mode)
 
 
 def _positive_int(key: str, text: str) -> int:

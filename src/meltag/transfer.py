@@ -7,7 +7,8 @@ shape, with deterministic numerics underneath:
     rule that makes each component independent of the signs LAPACK picks.
   - One-vs-rest squared-hinge SVM trained by full-batch gradient descent at
     the Lipschitz step size 1/L, which makes the objective provably
-    non-increasing (and we assert that every epoch).
+    non-increasing (and we assert that every epoch). All classes train in
+    one pass, on one [classes, features] weight matrix.
 
 `run_pipeline` strings them together behind a manifest CSV of
 (path, label, split) rows, mirroring a genre-classification experiment.
@@ -38,11 +39,14 @@ from .tagger import infer_file, resolve_model
 
 
 def _matrix(X, n_features: int | None = None) -> np.ndarray:
-    """X as a C-contiguous float64 [samples, features] matrix, `n_features` wide if given."""
+    """X as a finite, C-contiguous float64 [samples, features] matrix, `n_features` wide if given."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or n_features not in (None, X.shape[1]):
         want = "features" if n_features is None else n_features
         raise ShapeMismatchError(f"want a [samples, {want}] matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise NumericFaultError(f"non-finite value {X[row, col]} at row {row}, column {col}")
     return X
 
 
@@ -73,10 +77,8 @@ class PrincipalComponents:
         self.rank_deficient_ = rank < k
         self.n_components_ = min(k, rank)
         components = rows[: self.n_components_]
-        for row in components:  # fix sign: largest-|entry| coordinate positive
-            if row[np.argmax(np.abs(row))] < 0:
-                row *= -1.0
-        self.components_ = components
+        lead = components[np.arange(len(components)), np.abs(components).argmax(axis=1)]
+        self.components_ = components * np.where(lead < 0, -1.0, 1.0)[:, None]  # largest-|entry| positive
         self.singular_values_ = sigma[: self.n_components_]
         return self
 
@@ -91,7 +93,8 @@ class LinearSvmOneVsRest:
 
     Each binary problem minimizes  reg/2 ||w||^2 + mean(max(0, 1 - t f(x))^2)
     by full-batch gradient descent at step 1/L (L an upper bound on the
-    gradient's Lipschitz constant), so the objective can only go down.
+    gradient's Lipschitz constant), so the objective can only go down. All
+    classes train in one pass: each epoch takes one X @ W.T for the [C, d] W.
 
     Fitted attributes: classes_, weights_ [C, d], biases_ [C],
     objective_history_ [C, epochs + 1].
@@ -105,9 +108,9 @@ class LinearSvmOneVsRest:
         self.reg_strength = reg_strength
         self.epochs = epochs
 
-    def _objective(self, X, t, w, b) -> float:
-        margin = np.maximum(0.0, 1.0 - t * (X @ w + b))
-        return 0.5 * self.reg_strength * (w @ w) + float(np.mean(margin**2))
+    def _objective(self, hinge, weights) -> np.ndarray:
+        """Per-class objective from the hinges max(0, 1 - t f(x)) [n, C]."""
+        return 0.5 * self.reg_strength * (weights * weights).sum(axis=1) + np.mean(hinge**2, axis=0)
 
     def fit(self, X, y) -> "LinearSvmOneVsRest":
         X, y = _matrix(X), np.asarray(y)
@@ -119,28 +122,23 @@ class LinearSvmOneVsRest:
         n, d = X.shape
         lipschitz = self.reg_strength + 2.0 * float(np.mean((X * X).sum(axis=1) + 1.0))
         lr = 1.0 / lipschitz
+        t = np.where(y[:, None] == self.classes_, 1.0, -1.0)  # [n, C] one-vs-rest targets
         weights = np.zeros((len(self.classes_), d))
         biases = np.zeros(len(self.classes_))
         history = np.zeros((len(self.classes_), self.epochs + 1))
-        for c, label in enumerate(self.classes_):
-            t = np.where(y == label, 1.0, -1.0)
-            w = weights[c]
-            b = 0.0
-            history[c, 0] = self._objective(X, t, w, b)
-            for epoch in range(1, self.epochs + 1):
-                margin = np.maximum(0.0, 1.0 - t * (X @ w + b))
-                coeff = -2.0 * t * margin / n
-                grad_w = self.reg_strength * w + X.T @ coeff
-                grad_b = float(coeff.sum())
-                w = w - lr * grad_w
-                b = b - lr * grad_b
-                history[c, epoch] = self._objective(X, t, w, b)
-                if history[c, epoch] > history[c, epoch - 1] + 1e-12:
-                    raise NumericFaultError(
-                        f"objective increased at epoch {epoch} for class {label!r}"
-                    )
-            weights[c] = w
-            biases[c] = b
+        hinge = np.maximum(0.0, 1.0 - t * (X @ weights.T + biases))
+        history[:, 0] = self._objective(hinge, weights)
+        for epoch in range(1, self.epochs + 1):
+            coeff = -2.0 * t * hinge / n
+            weights = weights - lr * (self.reg_strength * weights + coeff.T @ X)
+            biases = biases - lr * coeff.sum(axis=0)
+            hinge = np.maximum(0.0, 1.0 - t * (X @ weights.T + biases))
+            history[:, epoch] = self._objective(hinge, weights)
+            rose = np.flatnonzero(history[:, epoch] > history[:, epoch - 1] + 1e-12)
+            if len(rose):
+                raise NumericFaultError(
+                    f"objective increased at epoch {epoch} for class {self.classes_[rose[0]]!r}"
+                )
         self.weights_ = weights
         self.biases_ = biases
         self.objective_history_ = history
@@ -217,8 +215,7 @@ class PipelineReport:
             f"train_accuracy: {self.train_accuracy:.6f}",
             f"test_accuracy: {self.test_accuracy:.6f}",
         ]
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
+        lines += [f"warning: {warning}" for warning in self.warnings]
         lines.append("confusion (rows true, columns predicted):")
         for label, row in zip(self.labels, self.confusion):
             lines.append(f"  {label}: " + " ".join(str(int(v)) for v in row))
@@ -286,8 +283,7 @@ def run_pipeline(
 
     n_labels = len(manifest.labels)
     confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
-    for truth, pred in zip(y_test, pred_test):
-        confusion[truth, pred] += 1
+    np.add.at(confusion, (y_test, pred_test), 1)
 
     return PipelineReport(
         labels=manifest.labels,

@@ -228,3 +228,30 @@ class TestNonFiniteScores:
         t.join(timeout=10)
         assert not t.is_alive(), "_tied_ranks did not return"
         assert result["r"].tolist() == [2.0, 3.0, 1.0, 4.0]
+
+
+def _brute_force_ranks(values):
+    """Each value's rank: the count below it, plus the mean of the positions
+    its ties share."""
+    v = np.asarray(values)
+    below = (v[None, :] < v[:, None]).sum(axis=1)
+    tied = (v[None, :] == v[:, None]).sum(axis=1)
+    return below + (tied + 1) / 2.0
+
+
+class TestTiedRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.7]),
+            np.zeros(9),
+            np.array([2.0, 1.0, 2.0, 1.0, 2.0]),
+            np.array([-0.0, 0.0, 1.0, -0.0]),
+            np.random.default_rng(0).integers(0, 4, size=200).astype(np.float64),
+            np.round(np.random.default_rng(1).normal(size=1000), 1),
+            np.random.default_rng(2).permutation(50).astype(np.float64),
+        ],
+        ids=["n1", "all_tied", "two_runs", "signed_zeros", "four_levels", "rounded_normals", "no_ties"],
+    )
+    def test_bytes_match_the_brute_force_average_ranks(self, values):
+        assert _tied_ranks(values).tobytes() == _brute_force_ranks(values).tobytes()

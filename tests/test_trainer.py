@@ -268,6 +268,68 @@ class TestFit:
         assert peak <= 56 * 2**20, f"fit step peaked at {peak / 2**20:.1f} MiB"
 
 
+class TestFitRejectsBadDataUpFront:
+    """A bad example anywhere in the set raises before the first batch updates
+    the model, and the error names the example."""
+
+    @pytest.mark.parametrize(
+        "row, fault, error, message",
+        [
+            (3, "target", ConfigInvalidError, "example 3"),
+            (5, "target", ConfigInvalidError, "example 5"),
+            (5, "nan", NumericFaultError, "example 5"),
+            (4, "inf", NumericFaultError, "example 4"),
+        ],
+    )
+    def test_model_is_unchanged_after_a_rejected_fit(self, row, fault, error, message):
+        cfg = tiny_musicnn()
+        model = build_model(cfg, seed=4, mode="float64")
+        before = {k: v.copy() for k, v in model.tensors().items()}
+        x, y = _toy_data(cfg, 6, seed=5)
+        if fault == "target":
+            y[row, 1] = 0.5
+        else:
+            x[row, 2, 3] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(error) as raised:
+            fit(model, x, y, TrainConfig(learning_rate=1e-2, batch_size=1, epochs=1))
+        for key, t in model.tensors().items():
+            assert t.tobytes() == before[key].tobytes(), key
+        assert message in str(raised.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_float32_overflow_on_the_cast_is_rejected(self):
+        cfg = tiny_musicnn()
+        model = build_model(cfg, seed=4, mode="float32")
+        x, y = _toy_data(cfg, 3, seed=5)
+        x[2, 0, 0] = 1e300
+        with pytest.raises(NumericFaultError, match="example 2"):
+            fit(model, x, y, TrainConfig(batch_size=1, epochs=1, mode="float32"))
+
+
+class TestModelFromName:
+    @pytest.mark.parametrize(
+        "name, family, backend",
+        [
+            ("toy_musicnn", "musicnn", "temporal_pooling"),
+            ("toy_musicnn_attention", "musicnn", "attention"),
+            ("toy_vgg", "vgg", "temporal_pooling"),
+        ],
+    )
+    def test_toy_names_build_their_toy_config(self, name, family, backend):
+        model = trainer._model_from_name(name, "float64")
+        assert model.config == toy_model_config(family, backend)
+        assert model.mode == "float64"
+        want = build_model(toy_model_config(family, backend), seed=0, mode="float64")
+        assert model.tags == want.tags
+        for key, t in model.tensors().items():
+            np.testing.assert_array_equal(t, want.tensors()[key])
+
+    def test_registry_names_keep_their_tags(self):
+        model = trainer._model_from_name("MTT_musicnn", "float32")
+        cfg, tags = store.registry_get("MTT_musicnn")
+        assert model.config == cfg and model.tags == tags
+
+
 class TestSyntheticDataset:
     def test_shapes_and_binary_targets(self):
         cfg = toy_model_config()

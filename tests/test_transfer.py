@@ -1,5 +1,7 @@
 """PCA and SVM estimators, the dataset manifest, and the transfer pipeline."""
 
+import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -10,6 +12,7 @@ from meltag.errors import (
     ConfigInvalidError,
     MeltagError,
     NotFittedError,
+    NumericFaultError,
     ShapeMismatchError,
     SingleClassError,
 )
@@ -261,6 +264,102 @@ class TestLinearSvm:
         svm = LinearSvmOneVsRest(epochs=200).fit(x, y)
         assert set(svm.predict(x)) == {"ambient", "metal"}
         assert (svm.predict(x) == y).all()
+
+
+def _per_class_svm(x, y, reg_strength=1e-3, epochs=200):
+    """The SVM as one gradient descent per class, each margin a matrix-vector
+    product: the reference the class-batched fit must reproduce."""
+    classes = np.unique(y)
+    n, d = x.shape
+    lr = 1.0 / (reg_strength + 2.0 * float(np.mean((x * x).sum(axis=1) + 1.0)))
+    weights, biases = np.zeros((len(classes), d)), np.zeros(len(classes))
+    history = np.zeros((len(classes), epochs + 1))
+
+    def objective(t, w, b):
+        margin = np.maximum(0.0, 1.0 - t * (x @ w + b))
+        return 0.5 * reg_strength * (w @ w) + float(np.mean(margin**2))
+
+    for c, label in enumerate(classes):
+        t = np.where(y == label, 1.0, -1.0)
+        w, b = np.zeros(d), 0.0
+        history[c, 0] = objective(t, w, b)
+        for epoch in range(1, epochs + 1):
+            coeff = -2.0 * t * np.maximum(0.0, 1.0 - t * (x @ w + b)) / n
+            w = w - lr * (reg_strength * w + x.T @ coeff)
+            b = b - lr * float(coeff.sum())
+            history[c, epoch] = objective(t, w, b)
+        weights[c], biases[c] = w, b
+    return classes, weights, biases, history
+
+
+class TestSvmClassBatch:
+    @pytest.mark.parametrize("n_classes, n, d", [(2, 30, 3), (3, 45, 5), (10, 200, 16)])
+    def test_matches_the_per_class_fit(self, n_classes, n, d):
+        rng = np.random.default_rng(n_classes)
+        y = rng.integers(0, n_classes, size=n)
+        x = rng.normal(size=(n, d)) + 0.5 * rng.normal(size=(n_classes, d))[y]
+        classes, weights, biases, history = _per_class_svm(x, y, epochs=150)
+        svm = LinearSvmOneVsRest(epochs=150).fit(x, y)
+        np.testing.assert_array_equal(svm.classes_, classes)
+        np.testing.assert_allclose(svm.weights_, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(svm.biases_, biases, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(svm.objective_history_, history, rtol=0, atol=1e-12)
+        oracle_scores = x @ weights.T + biases
+        np.testing.assert_array_equal(svm.predict(x), classes[oracle_scores.argmax(axis=1)])
+
+    def test_fit_keeps_its_bits(self):
+        # Pinned on x86-64 with OpenBLAS; a BLAS with other kernels may round
+        # the class-batched products differently.
+        rng = np.random.default_rng(21)
+        y = np.repeat(np.arange(4), 10)
+        x = rng.normal(size=(40, 6)) + y[:, None] * 0.4
+        svm = LinearSvmOneVsRest(epochs=120).fit(x, y)
+        h = hashlib.sha256()
+        for array in (svm.weights_, svm.biases_, svm.objective_history_):
+            h.update(array.tobytes())
+        assert h.hexdigest() == SVM_FIT_SHA256
+
+    def test_a_rising_objective_names_the_first_class_that_rose(self):
+        calls = itertools.count()
+
+        class Rising(LinearSvmOneVsRest):
+            def _objective(self, hinge, weights):
+                values = super()._objective(hinge, weights)
+                values[1:] += next(calls)  # every class but the first rises
+                return values
+
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NumericFaultError, match=r"at epoch 1 for class .*'b'"):
+            Rising(epochs=5).fit(x, np.array(["a", "b", "c", "a"]))
+
+
+SVM_FIT_SHA256 = "30aec9c38f4a496d26d0944905a810c74774fd15351663758ed24c2013bf5891"
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fits_raise_naming_row_and_column(self, bad):
+        x = np.random.default_rng(7).normal(size=(6, 3))
+        x[4, 2] = bad
+        y = np.array([0, 1, 0, 1, 0, 1])
+        with pytest.raises(NumericFaultError, match="row 4, column 2"):
+            PrincipalComponents(n_components=2).fit(x)
+        with pytest.raises(NumericFaultError, match="row 4, column 2"):
+            LinearSvmOneVsRest(epochs=5).fit(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_transform_and_predict_raise_naming_row_and_column(self, bad):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(6, 3)), np.array([0, 1, 0, 1, 0, 1])
+        pca = PrincipalComponents(n_components=2).fit(x)
+        svm = LinearSvmOneVsRest(epochs=5).fit(x, y)
+        x[1, 0] = bad
+        with pytest.raises(NumericFaultError, match="row 1, column 0"):
+            pca.transform(x)
+        with pytest.raises(NumericFaultError, match="row 1, column 0"):
+            svm.decision_function(x)
+        with pytest.raises(NumericFaultError, match="row 1, column 0"):
+            svm.predict(x)
 
 
 class TestManifest:
