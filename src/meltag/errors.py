@@ -37,6 +37,10 @@ class NumericFaultError(MeltagError):
     """An operation produced NaN or Inf."""
 
 
+class TapeConsumedError(MeltagError):
+    """A forward tape was read after backward_batch had consumed it."""
+
+
 class ConfigInvalidError(MeltagError):
     """A model or DSP configuration violates one of its invariants."""
 

@@ -29,11 +29,14 @@ concat, residual add, mean over an axis, or a back end. Slot i is entry i's
 output; None is the input batch. `backward_batch` runs the tape in reverse
 and returns one gradient array per parameter tensor; a value read by several
 steps gets their gradients summed in recording order. The ops already sum
-over the batch in example index order. After an infer forward the block rule
-rebuilds the full relu map from the cached conv output. In inference mode
-the running bn statistics receive exact gradients too, which lets the
-whole-network gradient check cover every stored tensor. `infer_batch` (tag,
-extract, transfer) records none and pools each conv map inside conv2d_pool.
+over the batch in example index order. Backward consumes the tape, freeing
+each entry and cached map once its rule has used it, so a train step reads
+`batch_norm_statistics` first (a consumed tape raises TapeConsumedError).
+After an infer forward the block rule rebuilds the full relu map from the
+cached conv output. In inference mode the running bn statistics receive exact
+gradients too, which lets the whole-network gradient check cover every stored
+tensor. `infer_batch` (tag, extract, transfer) records none and pools each
+conv map inside conv2d_pool.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import ops
 from .dsp import DspConfig
-from .errors import ConfigInvalidError, ShapeMismatchError
+from .errors import ConfigInvalidError, ShapeMismatchError, TapeConsumedError
 from .ops import LayerParams
 from .rng import SplitMix64, layer_seed
 
@@ -377,11 +380,11 @@ def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> 
     p = layer.name + "."
     if "bn_cache" in cache:
         grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"] = ops.batchnorm_train_backward(
-            layer, cache["bn_cache"], grad
+            layer, cache.pop("bn_cache"), grad
         )
         return (grad_x,)
     grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"], grads[p + "bn_mean"], grads[p + "bn_var"] = (
-        ops.batchnorm_infer_backward(cache["bn_input"], layer, grad, BN_EPSILON)
+        ops.batchnorm_infer_backward(cache.pop("bn_input"), layer, grad, BN_EPSILON)
     )
     return (grad_x,)
 
@@ -421,14 +424,16 @@ def _conv_bn_relu_forward(
 
 def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
     if "relu_out" not in cache:  # an infer forward pooled first: rebuild the full relu map
-        h = cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer, BN_EPSILON)
-        ops.relu(h, out=h)
+        cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer, BN_EPSILON)
+        ops.relu(cache["relu_out"], out=cache["relu_out"])
     if cache["pool_backward"] is not None:
         grad = cache["pool_backward"](cache["relu_out"], grad)
-    (grad_conv,) = _bn_rule(ops.relu_backward(cache["relu_out"], grad), layer, cache, grads)
+    # popping the relu map and rebinding grad free each full map before conv2d_backward
+    grad = ops.relu_backward(cache.pop("relu_out"), grad)
+    (grad,) = _bn_rule(grad, layer, cache, grads)
     p = layer.name + "."
     grad_x, grads[p + "weights"], grads[p + "bias"] = ops.conv2d_backward(
-        cache["x"], layer, grad_conv, *cache["pad"]
+        cache.pop("x"), layer, grad, *cache["pad"]
     )
     return (grad_x,)
 
@@ -626,14 +631,22 @@ def infer_batch(patches: np.ndarray, model: Model) -> tuple[np.ndarray, dict]:
     return _forward(patches, model, "infer", None)
 
 
+def _unconsumed(tape: list) -> list:
+    if None in tape:
+        raise TapeConsumedError("backward_batch consumed this tape; record a new one with forward_batch")
+    return tape
+
+
 def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss wrt every parameter tensor, given the loss
-    gradient at the pre-sigmoid logits. Sums over the batch in example index order."""
+    gradient at the pre-sigmoid logits. Sums over the batch in example index order.
+    Consumes the tape, releasing each entry as its rule runs: read batch_norm_statistics first."""
     grads: dict[str, np.ndarray] = {}
-    incoming: list[list] = [[] for _ in tape]
+    incoming: list[list] = [[] for _ in _unconsumed(tape)]
     incoming[-1].append(np.asarray(grad_logits, dtype=model.dtype))
     for slot in range(len(tape) - 1, -1, -1):
         rule, inputs, layer, saved, out_shape = tape[slot]
+        tape[slot] = None
         parts = incoming[slot]  # newest reader first
         grad = parts.pop()
         while parts:
@@ -648,9 +661,9 @@ def backward_batch(model: Model, tape: list, grad_logits: np.ndarray) -> dict[st
 
 def batch_norm_statistics(tape: list) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-layer (batch_mean, batch_var) recorded by a train-mode forward,
-    keyed by layer name."""
+    keyed by layer name. Read it before backward_batch consumes the tape."""
     out = {}
-    for _, _, layer, saved, _ in tape:
+    for _, _, layer, saved, _ in _unconsumed(tape):
         if isinstance(saved, dict) and "bn_stats" in saved:
             out[layer.name] = saved["bn_stats"]
     return out

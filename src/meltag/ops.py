@@ -192,6 +192,7 @@ def conv2d_backward(
         for i in range(cols.shape[1]):
             for j in range(cols.shape[2]):
                 gp[b, :, i : i + n, j : j + m] += cols[:, i, j]
+        del cols  # freed before the next example's window copy
     grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
     grad_b = None
     if params.bias is not None:
@@ -295,11 +296,12 @@ def batchnorm_train(
     batch = np.ascontiguousarray(batch)  # float sums follow memory order: sum in C order
     axes = (0,) + tuple(range(2, batch.ndim))
     mean = batch.mean(axis=axes)
-    var = batch.var(axis=axes)
+    xhat = batch - _bn_shape(mean, batch.ndim)  # centred once: np.var's own arithmetic
+    y = np.multiply(xhat, xhat)
+    var = y.mean(axis=axes)
     inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim) + epsilon)
-    xhat = batch - _bn_shape(mean, batch.ndim)
     xhat *= inv
-    y = xhat * _bn_shape(params.bn_gamma, batch.ndim)
+    np.multiply(xhat, _bn_shape(params.bn_gamma, batch.ndim), out=y)
     y += _bn_shape(params.bn_beta, batch.ndim)
     _ensure_finite(f"{params.name}: batchnorm_train", y)
     cache = {"xhat": xhat, "inv": inv, "axes": axes, "count": batch.size // c}

@@ -109,13 +109,6 @@ class TrainLog:
         return "epoch,loss\n" + "".join(f"{i},{loss:.6f}\n" for i, loss in enumerate(self.epoch_losses, start=1))
 
 
-def _update_running_stats(model: Model, tape: list) -> None:
-    for name, (mean, var) in network.batch_norm_statistics(tape).items():
-        layer = model.layer(name)
-        layer.bn_mean = (EMA_MOMENTUM * layer.bn_mean + (1 - EMA_MOMENTUM) * mean).astype(model.dtype)
-        layer.bn_var = (EMA_MOMENTUM * layer.bn_var + (1 - EMA_MOMENTUM) * var).astype(model.dtype)
-
-
 def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> TrainLog:
     """Train the model in place; returns the per-epoch mean loss log."""
     if model.mode != config.mode:
@@ -150,12 +143,17 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             logits, _, tape = network.forward_batch(x[idx], model, bn_mode="train")
+            del _  # the unread trace would keep forward maps alive through backward
             # sigmoid in float64, as the loss: float32 rounds to 1.0 from logit 16.6 on
             loss, grad_logits = bce_loss(ops.sigmoid(logits.astype(np.float64)), y[idx])
+            stats = network.batch_norm_statistics(tape)  # backward consumes the tape
             grads = network.backward_batch(model, tape, grad_logits)
             params = model.tensors()
             model.set_tensors(adam_step(params, grads, state, config))
-            _update_running_stats(model, tape)
+            for name, (mean, var) in stats.items():  # one EMA step of the running statistics
+                layer = model.layer(name)
+                layer.bn_mean = (EMA_MOMENTUM * layer.bn_mean + (1 - EMA_MOMENTUM) * mean).astype(model.dtype)
+                layer.bn_var = (EMA_MOMENTUM * layer.bn_var + (1 - EMA_MOMENTUM) * var).astype(model.dtype)
             epoch_loss += loss * len(idx) / n
         losses[epoch] = epoch_loss
     return TrainLog(epoch_losses=losses)

@@ -137,7 +137,7 @@ class LinearSvmOneVsRest:
             rose = np.flatnonzero(history[:, epoch] > history[:, epoch - 1] + 1e-12)
             if len(rose):
                 raise NumericFaultError(
-                    f"objective increased at epoch {epoch} for class {self.classes_[rose[0]]!r}"
+                    f"objective increased at epoch {epoch} for class {self.classes_[rose[0]].item()!r}"
                 )
         self.weights_ = weights
         self.biases_ = biases

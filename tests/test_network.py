@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from meltag import network, ops, store, tagger, trainer
-from meltag.errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError
+from meltag.errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError, TapeConsumedError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
     MUSICNN_POOLING_KEYS,
@@ -629,6 +629,46 @@ class TestCacheLayout:
         for key in sorted(got):
             assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestTapeConsumption:
+    """backward_batch consumes its tape: every entry is released, and a second
+    read of the tape raises a named error instead of a TypeError on None."""
+
+    @staticmethod
+    def _recorded(family, backend, bn_mode):
+        cfg = trainer.toy_model_config(family, backend)
+        model = build_model(cfg, seed=23, mode="float64")
+        patches, _ = trainer.synthetic_dataset(cfg, 3, seed=2)
+        logits, _, tape = forward_batch(patches, model, bn_mode=bn_mode)
+        return model, tape, np.random.default_rng(1).normal(size=logits.shape)
+
+    @pytest.mark.parametrize("bn_mode", ["infer", "train"])
+    @pytest.mark.parametrize(
+        "family, backend",
+        [("musicnn", "temporal_pooling"), ("musicnn", "attention"), ("vgg", "temporal_pooling")],
+    )
+    def test_backward_releases_every_entry_and_cached_map(self, family, backend, bn_mode):
+        model, tape, r = self._recorded(family, backend, bn_mode)
+        n = len(tape)
+        caches = [saved for _, _, _, saved, _ in tape if isinstance(saved, dict)]
+        network.backward_batch(model, tape, r)
+        assert n and tape == [None] * n
+        # each rule pops its maps as it uses them, so none outlives its own rule
+        assert caches and not any({"relu_out", "bn_cache", "bn_input", "x"} & set(c) for c in caches)
+
+    def test_a_second_backward_raises(self):
+        model, tape, r = self._recorded("musicnn", "temporal_pooling", "train")
+        network.backward_batch(model, tape, r)
+        with pytest.raises(TapeConsumedError, match="consumed"):
+            network.backward_batch(model, tape, r)
+
+    def test_statistics_of_a_consumed_tape_raise(self):
+        model, tape, r = self._recorded("vgg", "temporal_pooling", "train")
+        assert network.batch_norm_statistics(tape)  # readable before backward
+        network.backward_batch(model, tape, r)
+        with pytest.raises(TapeConsumedError, match="consumed"):
+            network.batch_norm_statistics(tape)
 
 
 def _gradient_digest(model, patches, bn_mode):
