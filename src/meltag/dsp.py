@@ -4,13 +4,25 @@ Everything in this module is a pure function of its inputs and safe to call
 concurrently. Audio ingestion is deliberately narrow: RIFF/WAVE files with
 PCM 16-bit (format code 1) or IEEE float 32-bit (format code 3) samples,
 mono or stereo. Compressed codecs are a preprocessing step for the user.
+
+The spectrogram is made in blocks of MEL_BLOCK frames on a grid from frame 0.
+log_mel fills a whole clip's frames block by block, and patch_batches streams
+the same blocks from a file, reading only the samples each block needs (seek
+and readinto), so file-to-patches memory is one batch of patches plus one
+block's scratch, however long the clip. Blocks change no bits: resampler
+positions come from global sample indices, each block rereads the
+fft_size - hop_size samples it shares with the next, and each mel GEMM block
+starts on a multiple of 4 frames and holds at least MEL_BLOCK of them (see
+log_mel). load_wav and log_mel are the whole-clip cases of the same code.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -77,52 +89,62 @@ class MelSpectrogram:
         return self.values.shape[0]
 
 
+# frames per log-mel block (see log_mel): a multiple of 4 that holds one default 187-frame
+# patch, so a block's STFT scratch stays near 2 MB however long the clip
+MEL_BLOCK = 192
+
+
 # --- WAV ingestion ---------------------------------------------------------
 
 _PCM16 = 1
 _FLOAT32 = 3
 
 
-def load_wav(path) -> Waveform:
-    """Decode a RIFF/WAVE file to a mono float64 waveform.
+@dataclass(frozen=True)
+class _WavData:
+    """A checked header: where the data chunk's `frames` sample frames start and how they decode."""
 
-    16-bit samples are scaled by 1/32768; stereo is downmixed by channel
-    mean. Both are done on one float64 buffer: channel 0 is cast, channel 1
-    added in place, then one power-of-two scale (0.5 per stereo mean, 2**-15
-    for PCM16) is applied. Scaling by a power of two is exact here, so the
-    result equals `(left + right) / 2 / 32768` bit for bit. Raises
-    UnsupportedFormatError for codecs other than PCM16/float32,
-    CorruptHeaderError for malformed chunk structure, EmptyAudioError for a
-    zero-length data chunk, NumericFaultError for a NaN or Inf float sample.
-    """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 12 or buf[0:4] != b"RIFF" or buf[8:12] != b"WAVE":
+    path: str | os.PathLike
+    code: int
+    channels: int
+    rate: int
+    offset: int
+    frames: int
+
+
+def _read_header(fh, path) -> _WavData:
+    """Walk the RIFF chunks with seeks, reading only chunk headers and the fmt body, and check
+    everything a header can get wrong before any sample is read. Raises
+    UnsupportedFormatError for codecs other than PCM16/float32, CorruptHeaderError for a
+    malformed chunk structure (a second fmt or data chunk included), EmptyAudioError for a
+    zero-length data chunk."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise CorruptHeaderError(f"{path}: not a RIFF/WAVE file")
-
-    view = memoryview(buf)  # chunk bodies are views, not copies
-    fmt = None
-    data = None
+    chunks: dict[bytes, tuple[int, int]] = {}  # fmt and data: (body offset, body size)
+    fmt = b""
     pos = 12
-    while pos + 8 <= len(buf):
-        chunk_id = buf[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", buf, pos + 4)
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
         body_start = pos + 8
-        if body_start + chunk_size > len(buf):
+        if body_start + chunk_size > size:
             raise CorruptHeaderError(f"{path}: chunk {chunk_id!r} overruns the file")
-        body = view[body_start : body_start + chunk_size]
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            data = body
+        if chunk_id in (b"fmt ", b"data"):
+            if chunk_id in chunks:
+                raise CorruptHeaderError(f"{path}: second {chunk_id!r} chunk at byte offset {pos}")
+            chunks[chunk_id] = (body_start, chunk_size)
+            if chunk_id == b"fmt ":
+                fmt = fh.read(min(chunk_size, 16))
         pos = body_start + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
-    if fmt is None or len(fmt) < 16:
+    if len(fmt) < 16:
         raise CorruptHeaderError(f"{path}: missing or short fmt chunk")
-    if data is None:
+    if b"data" not in chunks:
         raise CorruptHeaderError(f"{path}: missing data chunk")
 
-    code, channels, rate, _brate, _balign, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    code, channels, rate, _brate, _balign, bits = struct.unpack("<HHIIHH", fmt)
     if code not in (_PCM16, _FLOAT32):
         raise UnsupportedFormatError(f"{path}: format code {code} (want 1 or 3)")
     if code == _PCM16 and bits != 16:
@@ -134,24 +156,66 @@ def load_wav(path) -> Waveform:
     if rate <= 0:
         raise CorruptHeaderError(f"{path}: nonpositive sample rate")
 
-    width = bits // 8
-    frame_bytes = width * channels
-    if len(data) % frame_bytes != 0:
+    offset, n_bytes = chunks[b"data"]
+    frame_bytes = bits // 8 * channels
+    if n_bytes % frame_bytes != 0:
         raise CorruptHeaderError(f"{path}: data chunk is not whole sample frames")
-    if len(data) == 0:
+    if n_bytes == 0:
         raise EmptyAudioError(f"{path}: zero audio samples")
+    return _WavData(path, code, channels, rate, offset, n_bytes // frame_bytes)
 
-    frames = np.frombuffer(data, dtype="<i2" if code == _PCM16 else "<f4").reshape(-1, channels)
-    if code == _FLOAT32 and not np.isfinite(frames).all():
+
+def _read_samples(fh, wav: _WavData, a: int, b: int) -> np.ndarray:
+    """Sample frames a..b of the data chunk (seek and readinto), as mono float64.
+
+    16-bit samples are scaled by 1/32768; stereo is downmixed by channel mean. Both are done
+    on one float64 buffer: channel 0 is cast, channel 1 added in place, then one power-of-two
+    scale (0.5 per stereo mean, 2**-15 for PCM16) is applied. Scaling by a power of two is
+    exact here, so the result equals `(left + right) / 2 / 32768` bit for bit. A NaN or Inf
+    float sample raises NumericFaultError naming the file, its frame in the clip and its channel.
+    """
+    frames = np.empty((b - a, wav.channels), dtype="<i2" if wav.code == _PCM16 else "<f4")
+    fh.seek(wav.offset + a * frames.itemsize * wav.channels)
+    fh.readinto(frames)
+    if wav.code == _FLOAT32 and not np.isfinite(frames).all():
         frame, channel = np.argwhere(~np.isfinite(frames))[0]
-        raise NumericFaultError(f"{path}: non-finite sample in frame {frame}, channel {channel}")
+        raise NumericFaultError(f"{wav.path}: non-finite sample in frame {a + frame}, channel {channel}")
     samples = frames[:, 0].astype(np.float64)
-    if channels == 2:
+    if wav.channels == 2:
         samples += frames[:, 1]
-    scale = (2.0**-15 if code == _PCM16 else 1.0) / channels
+    scale = (2.0**-15 if wav.code == _PCM16 else 1.0) / wav.channels
     if scale != 1.0:
         samples *= scale
-    return Waveform(samples=samples, sample_rate=rate)
+    return samples
+
+
+def load_wav(path) -> Waveform:
+    """Decode a RIFF/WAVE file to a mono float64 waveform: the header check, then the whole
+    data chunk as one block of _read_samples. Raises UnsupportedFormatError, CorruptHeaderError,
+    EmptyAudioError (see _read_header) and NumericFaultError (see _read_samples)."""
+    with open(path, "rb") as fh:
+        wav = _read_header(fh, path)
+        return Waveform(samples=_read_samples(fh, wav, 0, wav.frames), sample_rate=wav.rate)
+
+
+def _resampled(s: np.ndarray, first: int, n_in: int, k0: int, k1: int, ratio: float) -> np.ndarray:
+    """Output samples k0..k1 of resample over an n_in-sample input whose samples first.. are s,
+    at input step `ratio`. Positions come from global indices, so any split into blocks gives
+    the same bits; s must reach one sample past the last interpolated position, and the end
+    of the input when a block holds its last sample."""
+    out = np.arange(k0, k1, dtype=np.float64) * ratio  # positions, rising
+    inner = int(np.searchsorted(out, n_in - 1))  # positions below the last index interpolate
+    x = out[:inner]
+    j = x.astype(np.intp)
+    x -= j
+    j -= first
+    lo = s[j]
+    whole = x == 0.0
+    x *= s[1:][j] - lo
+    x += lo
+    np.copyto(x, lo, where=whole)  # np.interp returns s[j] itself at x == j, keeping a -0.0
+    out[inner:] = s[-1:]
+    return out
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -169,19 +233,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         raise ConfigInvalidError("target_rate must be positive")
     if target_rate == w.sample_rate:
         return w
-    s = w.samples
-    n_out = len(s) * target_rate // w.sample_rate
-    out = np.arange(n_out, dtype=np.float64) * (w.sample_rate / target_rate)  # positions, rising
-    inner = int(np.searchsorted(out, len(s) - 1))  # positions below the last index interpolate
-    x = out[:inner]
-    j = x.astype(np.intp)
-    x -= j
-    lo = s[j]
-    whole = x == 0.0
-    x *= s[1:][j] - lo
-    x += lo
-    np.copyto(x, lo, where=whole)  # np.interp returns s[j] itself at x == j, keeping a -0.0
-    out[inner:] = s[-1:]
+    n = len(w.samples)
+    out = _resampled(w.samples, 0, n, 0, n * target_rate // w.sample_rate, w.sample_rate / target_rate)
     return Waveform(samples=out, sample_rate=target_rate)
 
 
@@ -246,16 +299,55 @@ def mel_filterbank(cfg: DspConfig) -> np.ndarray:
     return bank
 
 
+def _frame_count(n_in: int, rate: int, cfg: DspConfig) -> tuple[int, int]:
+    """(samples, STFT frames) of an n_in-sample clip at `rate` resampled to cfg.sample_rate;
+    frames < 1 when not even one fits."""
+    n = n_in if rate == cfg.sample_rate else n_in * cfg.sample_rate // rate
+    return n, (n - cfg.fft_size) // cfg.hop_size + 1
+
+
+def _block_bounds(frames: int) -> list[tuple[int, int]]:
+    """The grid of mel blocks over a clip's frames: MEL_BLOCK each from frame 0, the last
+    taking the remainder, so it holds MEL_BLOCK to 2 * MEL_BLOCK - 1 frames (or the clip)."""
+    stops = [*range(MEL_BLOCK, frames - MEL_BLOCK + 1, MEL_BLOCK), frames]
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def _log_mel_frames(read, n_in: int, rate: int, cfg: DspConfig, a: int, b: int, out: np.ndarray) -> None:
+    """Log-mel frames a..b of an n_in-sample clip at `rate` into out, reading its samples with
+    read(start, stop). Only those frames' resampled samples are made, from global indices, so a
+    block rereads the fft_size - hop_size samples it shares with the next instead of carrying them."""
+    k0, k1 = a * cfg.hop_size, (b - 1) * cfg.hop_size + cfg.fft_size
+    if rate == cfg.sample_rate:
+        s = read(k0, k1)
+    else:
+        ratio = rate / cfg.sample_rate
+        first = min(int(k0 * ratio), n_in - 1)
+        s = _resampled(read(first, min(n_in, int((k1 - 1) * ratio) + 2)), first, n_in, k0, k1, ratio)
+    magnitudes = stft_magnitude(Waveform(s, cfg.sample_rate), cfg.fft_size, cfg.hop_size)
+    np.matmul(magnitudes, mel_filterbank(cfg).T, out=out)
+    out += cfg.log_offset
+    np.log(out, out=out)
+
+
 def log_mel(w: Waveform, cfg: DspConfig = DspConfig()) -> MelSpectrogram:
-    """Resample to cfg.sample_rate, then ln(filterbank @ magnitudes + offset)."""
-    if len(w.samples) == 0:
+    """Resample to cfg.sample_rate, then ln(filterbank @ magnitudes + offset), made block by
+    block on the grid of _block_bounds, so the STFT's scratch is bounded by a block.
+
+    Every block starts on a multiple of 4 frames and holds at least MEL_BLOCK of them (or the
+    whole clip). On OpenBLAS that kept the mel GEMM's bits those of one whole-clip product in
+    every case tried, while 187-frame blocks, and blocks of under about 1,200 output cells,
+    changed them. patch_batches streams these very blocks, so it relies on no such rule.
+    """
+    n = len(w.samples)
+    if n == 0:
         raise EmptyAudioError("empty waveform")
-    w = resample(w, cfg.sample_rate)
-    magnitudes = stft_magnitude(w, cfg.fft_size, cfg.hop_size)
-    bank = mel_filterbank(cfg)
-    values = magnitudes @ bank.T
-    values += cfg.log_offset
-    np.log(values, out=values)
+    n_out, frames = _frame_count(n, w.sample_rate, cfg)
+    if frames < 1:
+        raise AudioTooShortError(f"{n_out} samples < fft_size {cfg.fft_size}")
+    values = np.empty((frames, cfg.n_mels))
+    for a, b in _block_bounds(frames):
+        _log_mel_frames(lambda i, j: w.samples[i:j], n, w.sample_rate, cfg, a, b, values[a:b])
     return MelSpectrogram(values=values, config=cfg)
 
 
@@ -274,3 +366,44 @@ def patchify(m: MelSpectrogram) -> np.ndarray:
         )
     windows = sliding_window_view(m.values, cfg.patch_frames, axis=0)  # [frames', M, T]
     return windows[:: cfg.patch_hop_frames].swapaxes(1, 2)
+
+
+def patch_batches(path, cfg: DspConfig, size: int) -> Iterator[np.ndarray]:
+    """The patches of a WAV file, `size` at a time, in memory bounded by a batch, not by the
+    clip: the header is checked first, then the data chunk is read block by block (seek and
+    readinto, only the samples a block's frames need) and each batch is cut from the blocks.
+    The blocks are log_mel's, so the batches equal patchify(log_mel(load_wav(path), cfg))
+    bit for bit. A clip too short for one patch is decoded whole, so it raises what the
+    whole-clip path raises; a bad sample raises when its block is read.
+    """
+    with open(path, "rb") as fh:
+        wav = _read_header(fh, path)
+        read = partial(_read_samples, fh, wav)
+        _, frames = _frame_count(wav.frames, wav.rate, cfg)
+        pf, ph = cfg.patch_frames, cfg.patch_hop_frames
+        if frames < pf:  # raises, as the whole-clip path would
+            patchify(log_mel(Waveform(read(0, wav.frames), wav.rate), cfg))
+        bounds = iter(_block_bounds(frames))
+        made: list[tuple[int, np.ndarray]] = []  # (first frame, frames) of blocks still to be read
+        n_patches = (frames - pf) // ph + 1
+        for p0 in range(0, n_patches, size):
+            p1 = min(p0 + size, n_patches)
+            start, stop = p0 * ph, (p1 - 1) * ph + pf
+            while not made or made[-1][0] + len(made[-1][1]) < stop:
+                a, b = next(bounds)
+                made.append((a, np.empty((b - a, cfg.n_mels))))
+                _log_mel_frames(read, wav.frames, wav.rate, cfg, a, b, made[-1][1])
+            batch = patchify(MelSpectrogram(_cut(made, start, stop), cfg))
+            made = [(a, block) for a, block in made if a + len(block) > p1 * ph]  # the next batch's
+            yield batch
+            del batch  # freed before the next batch is made, if the caller has let it go
+
+
+def _cut(made: list[tuple[int, np.ndarray]], start: int, stop: int) -> np.ndarray:
+    """Frames start..stop copied out of blocks given as (first frame, frames)."""
+    values = np.empty((stop - start, made[0][1].shape[1]))
+    for a, block in made:
+        lo, hi = max(a, start), min(a + len(block), stop)
+        if lo < hi:
+            values[lo - start : hi - start] = block[lo - a : hi - a]
+    return values

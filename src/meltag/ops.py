@@ -24,6 +24,12 @@ pool_mean_over_axis; grad_out in dense_backward, batchnorm_train_backward
 and conv2d_backward's bias sum; the summed terms of both softmax ops), and
 the conv ops copy x into padded windows.
 
+conv2d_pool makes an example's window (im2col) matrix past two WINDOW_BLOCKs
+in equal blocks of whole output rows, a multiple of 8 rows each, and
+multiplies each into its rows of the map, which keeps the bits of one whole
+product (the memory-efficient lowering of Cho & Brand, ICML 2017, in its
+simplest form).
+
 Every forward surfaces NaN/Inf as NumericFaultError naming the layer (conv2d
 also names the batch row): silent non-finite values would otherwise poison
 gradient checks downstream. No op mutates its inputs (bar relu's `out`), so
@@ -117,6 +123,24 @@ def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int) -> 
     return win
 
 
+# an example's window matrix is made in blocks of about this many entries (3 MiB of float32)
+# once it holds more than two: MTT_musicnn timbral_1's 2.9M entries in 4, while timbral_0's
+# 1.2M and vgg block2's 1.3M, which run slower in blocks, stay whole
+WINDOW_BLOCK = 3 << 18
+
+
+def _block_rows(size: int, rows: int) -> int:
+    """Output rows per block of a `size`-entry window matrix with `rows` output rows: all of
+    them up to two WINDOW_BLOCKs, else equal blocks rounded up to a multiple of 8 rows. So
+    every block starts on and spans a multiple of 8 of the GEMM's columns (or ends the map),
+    which keeps each column's bits those of one whole product in float64 as in float32."""
+    n = -(-size // WINDOW_BLOCK)
+    if n <= 2:
+        return rows
+    per_block = -(-rows // n)
+    return -(-per_block // 8) * 8
+
+
 def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -> np.ndarray:
     """Valid cross-correlation of zero-padded [..., C_in, H, W] inputs with
     [C_out, C_in, kH, kW] kernels; per-channel bias added when present."""
@@ -134,15 +158,24 @@ def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool
     xt = x.reshape((-1,) + x.shape[-3:]).swapaxes(-1, -2)
     win = _conv_windows(xt, w.shape[3], w.shape[2], pad_w, pad_h)
     wm = w.reshape(len(w), -1)
-    # one GEMM per example (a batched GEMM's bits vary with B): tensordot's `dot`, into row b,
-    # or one reused row when pooling. The unnamed C_in*kH*kW x W'*H' window copy is freed before the next
-    maps = np.empty((1 if pool else len(win), len(w)) + win.shape[2:4], dtype=np.result_type(w, win))
+    rows, cols = win.shape[2:4]  # output rows (W') of H' columns each
+    step = _block_rows(wm.shape[1] * rows * cols, rows)
+    # one GEMM per example and block (a batched GEMM's bits vary with B) into the example's map,
+    # or one reused map when pooling; each unnamed block copy is freed before the next is made
+    maps = np.empty((1 if pool else len(win), len(w), rows, cols), dtype=np.result_type(w, win))
     out = maps.swapaxes(-1, -2)
     if pool:  # stores the pools instead; their shape from an empty batch
         out = np.empty((len(win),) + pool(out[:0]).shape[1:], dtype=maps.dtype)
     for b, win_b in enumerate(win):
         m = maps[0 if pool else b]
-        np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=m.reshape(len(w), -1))
+        mm = m.reshape(len(w), -1)
+        if step >= rows:  # one block: dot's lower per-call cost matters on toy-size layers
+            np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=mm)
+        else:  # matmul writes each block into its columns of the map's strided rows
+            for r in range(0, rows, step):
+                r1 = min(r + step, rows)
+                np.matmul(wm, win_b[:, r:r1].transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1),
+                          out=mm[:, r * cols : r1 * cols])
         if params.bias is not None:
             m += params.bias[:, None, None]
         if pool:  # the one map buffer is reused: check each map before its pool

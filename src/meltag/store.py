@@ -192,13 +192,21 @@ def load_model(path: str | os.PathLike) -> Model:
 
     A flipped payload bit that leaves every value finite and valid still
     loads; only a checksum (a v2 manifest) could catch it.
+
+    The payload is read once into one float32 buffer and every tensor is a
+    writable view of it, so the weights are held once (a byteswap copy is
+    made only on a big-endian host).
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[: len(MAGIC)]!r}, expected {MAGIC!r}")
     start = len(MAGIC) + _LEN_DIGITS
-    length_field = blob[len(MAGIC) : start]
+    with open(path, "rb") as fh:  # the whole file, its payload read once into one aligned buffer
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(start)
+        length_field = head[len(MAGIC) :]
+        manifest_bytes = fh.read(min(int(length_field), file_size)) if length_field.isdigit() else b""
+        payload = np.empty(max(0, file_size - fh.tell()) // 4, dtype="<f4")
+        fh.readinto(payload)
+    if head[: len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"bad magic {head[: len(MAGIC)]!r}, expected {MAGIC!r}")
     if len(length_field) < _LEN_DIGITS:
         raise PayloadTruncatedError(
             f"file ends inside the manifest length field ({len(length_field)} of {_LEN_DIGITS} bytes)"
@@ -206,12 +214,12 @@ def load_model(path: str | os.PathLike) -> Model:
     if not length_field.isdigit():
         raise ManifestCorruptError(f"manifest length field {length_field!r} is not decimal")
     end = start + int(length_field)
-    if end > len(blob):
+    if end > file_size:
         raise PayloadTruncatedError(
-            f"manifest length {int(length_field)} overruns the {len(blob) - start} bytes left in the file"
+            f"manifest length {int(length_field)} overruns the {file_size - start} bytes left in the file"
         )
     try:
-        manifest = blob[start:end].decode("utf-8")
+        manifest = manifest_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestCorruptError(f"manifest is not UTF-8: {exc}") from None
 
@@ -264,14 +272,13 @@ def load_model(path: str | os.PathLike) -> Model:
         )
     sizes = [math.prod(shape) for _, shape in expected]
     n_bytes = 4 * sum(sizes)
-    if end + n_bytes > len(blob):
-        raise PayloadTruncatedError(f"payload holds {len(blob) - end} of the {n_bytes} bytes its tensors need")
-    if end + n_bytes < len(blob):
+    if end + n_bytes > file_size:
+        raise PayloadTruncatedError(f"payload holds {file_size - end} of the {n_bytes} bytes its tensors need")
+    if end + n_bytes < file_size:
         raise ManifestCorruptError(
-            f"{len(blob) - end - n_bytes} trailing bytes after the payload, at byte offset {end + n_bytes}"
+            f"{file_size - end - n_bytes} trailing bytes after the payload, at byte offset {end + n_bytes}"
         )
 
-    payload = np.frombuffer(blob, dtype="<f4", count=n_bytes // 4, offset=end)
     if payload.size and not (math.isfinite(payload.max()) and math.isfinite(payload.min())):
         bad = int(np.flatnonzero(~np.isfinite(payload))[0])
         stops = np.cumsum(sizes)
@@ -280,10 +287,11 @@ def load_model(path: str | os.PathLike) -> Model:
             f"tensor {expected[i][0]} at byte offset {end + 4 * int(stops[i] - sizes[i])} "
             f"holds a non-finite value at byte offset {end + 4 * bad}"
         )
+    payload = payload.astype(np.float32, copy=False)  # a byteswap copy on a big-endian host only
     layers: dict[str, dict[str, np.ndarray]] = {}
     pos = 0
-    for (key, shape), size in zip(expected, sizes):
+    for (key, shape), size in zip(expected, sizes):  # writable views of the one payload buffer
         layer, field_name = key.rsplit(".", 1)
-        layers.setdefault(layer, {})[field_name] = payload[pos : pos + size].reshape(shape).astype(np.float32)
+        layers.setdefault(layer, {})[field_name] = payload[pos : pos + size].reshape(shape)
         pos += size
     return Model(config, [LayerParams(name, **arrays) for name, arrays in layers.items()], tuple(tags))

@@ -36,24 +36,26 @@ class Taggram:
 
 
 def audio_patches(path, model: Model) -> np.ndarray:
-    """Decode, mel-transform, and window a file into a read-only [B, T, M] patch view."""
+    """Decode, mel-transform, and window a whole file into a read-only [B, T, M] patch view."""
     return dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp))
 
 
 def infer_file(path, model: Model, keys=None) -> tuple[Taggram, dict[str, np.ndarray]]:
     """The inference path shared by tag, extract and transfer: the taggram and the trace
-    keys `output` plus `keys` (None: all) of every patch of a file. Patches run INFER_BATCH
-    at a time through the tapeless network.infer_batch, each batch's full trace dropped before
-    the next; rows are independent, so the result equals one whole-clip batch bit for bit."""
+    keys `output` plus `keys` (None: all) of every patch of a file. dsp.patch_batches checks
+    the header, then streams the clip's log-mel blocks into batches of INFER_BATCH patches;
+    each runs through the tapeless network.infer_batch, its full trace dropped before the next.
+    So memory is bounded by a batch, and since rows are independent the result equals one
+    whole-clip batch of audio_patches bit for bit."""
     cfg = model.config.dsp
-    patches = audio_patches(path, model)
     keep = model.config.trace_keys() if keys is None else {"output", *keys}
-    traces = [  # the comprehension binds no name to a batch's full trace
-        {k: v for k, v in network.infer_batch(patches[lo : lo + INFER_BATCH], model)[1].items() if k in keep}
-        for lo in range(0, len(patches), INFER_BATCH)
-    ]
+
+    def run(batch):  # no name is bound to a batch's full trace
+        return {k: v for k, v in network.infer_batch(batch, model)[1].items() if k in keep}
+
+    traces = list(map(run, dsp.patch_batches(path, cfg, INFER_BATCH)))  # map holds no spent batch
     trace = {key: np.concatenate([t[key] for t in traces]) for key in traces[0]}
-    times = np.arange(len(patches)) * (cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate)
+    times = np.arange(len(trace["output"])) * (cfg.patch_hop_frames * cfg.hop_size / cfg.sample_rate)
     return Taggram(values=trace["output"], tags=model.tags, patch_times=times), trace
 
 

@@ -78,6 +78,48 @@ def wav_factory(tmp_path):
     return write
 
 
+@pytest.fixture
+def long_wav(tmp_path):
+    """Writes a WAV to disk block by block: `blocks` yields [n] or [n, channels] arrays in
+    [-1, 1], encoded as encode_wav does, so a long clip never exists whole in memory. The RIFF
+    and data sizes are written once the last block is in."""
+    counter = [0]
+
+    def write(blocks, sample_rate, fmt="pcm16", channels=1):
+        counter[0] += 1
+        path = tmp_path / f"long{counter[0]:03d}.wav"
+        code, width = {"pcm16": (1, 2), "float32": (3, 4)}[fmt]
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF\0\0\0\0WAVE")
+            fh.write(b"fmt " + struct.pack("<I", 16))
+            fh.write(struct.pack("<HHIIHH", code, channels, sample_rate, sample_rate * channels * width,
+                                 channels * width, width * 8))
+            fh.write(b"data\0\0\0\0")
+            n_bytes = 0
+            for block in blocks:
+                data = np.asarray(block, dtype=np.float64).reshape(-1, channels)
+                if fmt == "pcm16":
+                    payload = np.clip(np.round(data * 32768.0), -32768, 32767).astype("<i2")
+                else:
+                    payload = data.astype("<f4")
+                n_bytes += fh.write(payload.tobytes())
+            if n_bytes % 2:
+                fh.write(b"\0")
+            fh.seek(4)
+            fh.write(struct.pack("<I", 4 + 8 + 16 + 8 + n_bytes + n_bytes % 2))
+            fh.seek(40)
+            fh.write(struct.pack("<I", n_bytes))
+        return path
+
+    return write
+
+
+def samples_for_frames(frames: int, rate: int, cfg: DspConfig) -> int:
+    """A clip length at `rate` that resamples to exactly `frames` STFT frames of cfg."""
+    n = (frames - 1) * cfg.hop_size + cfg.fft_size + cfg.hop_size // 2
+    return -(-n * rate // cfg.sample_rate)
+
+
 def sine(freq_hz: float, seconds: float, sample_rate: int, amplitude: float = 0.5) -> np.ndarray:
     t = np.arange(int(seconds * sample_rate)) / sample_rate
     return amplitude * np.sin(2.0 * np.pi * freq_hz * t)

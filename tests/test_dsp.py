@@ -1,5 +1,6 @@
 """DSP front end: WAV decoding, resampling, STFT, mel filterbank, patching."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from meltag.errors import (
     UnsupportedFormatError,
 )
 
-from conftest import encode_wav, sine
+from conftest import encode_wav, samples_for_frames, sine
 
 
 class TestLoadWav:
@@ -45,6 +46,20 @@ class TestLoadWav:
             [0.1, 0.2], 4000, fmt="float32", extra_chunks=[(b"LIST", b"junk!"), (b"fake", b"xyz")]
         )
         np.testing.assert_allclose(dsp.load_wav(path).samples, [0.1, 0.2], atol=1e-7)
+
+    def test_second_data_chunk_is_rejected(self, wav_factory):
+        # data chunks of 8 and then 4 samples: no silent choice between them
+        first = struct.pack("<8h", *range(8))
+        path = wav_factory(np.zeros(4), 16000, extra_chunks=[(b"data", first)])
+        with pytest.raises(CorruptHeaderError, match=r"second b'data' chunk at byte offset 60$"):
+            dsp.load_wav(path)
+
+    def test_second_fmt_chunk_is_rejected(self, wav_factory):
+        # the 16 kHz fmt chunk sits at byte 12 and an 8 kHz one follows it at 36
+        second = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+        path = wav_factory(np.zeros(4), 16000, extra_chunks=[(b"fmt ", second)])
+        with pytest.raises(CorruptHeaderError, match=r"second b'fmt ' chunk at byte offset 36$"):
+            dsp.load_wav(path)
 
     def test_unsupported_codec(self, tmp_path, wav_factory):
         path = wav_factory([0.1], 4000)
@@ -364,6 +379,59 @@ class TestPatchify:
             assert len(patches) == (frames - patch) // hop + 1
             # the dropped tail is never touched: last window stays in bounds
             assert (len(patches) - 1) * hop + patch <= frames
+
+
+def _whole_clip_log_mel(w: Waveform, cfg: DspConfig) -> np.ndarray:
+    """log_mel as one product over every frame, the way it was computed before blocks."""
+    mags = dsp.stft_magnitude(dsp.resample(w, cfg.sample_rate), cfg.fft_size, cfg.hop_size)
+    return np.log(mags @ dsp.mel_filterbank(cfg).T + cfg.log_offset)
+
+
+class TestBlocks:
+    """log_mel runs on a grid of MEL_BLOCK-frame blocks and patch_batches streams the same
+    blocks from disk: both must give the bits of one whole-clip computation."""
+
+    @pytest.mark.parametrize("rate", [16000, 44100])
+    @pytest.mark.parametrize("frames", [5, 191, 192, 383, 384, 385, 386, 1001, 1002])
+    def test_log_mel_blocks_equal_one_whole_clip_product(self, rate, frames):
+        cfg = DspConfig()
+        n = samples_for_frames(frames, rate, cfg)
+        w = Waveform(samples=np.random.default_rng(frames).uniform(-0.9, 0.9, n), sample_rate=rate)
+        got = dsp.log_mel(w, cfg).values
+        assert got.shape == (frames, cfg.n_mels)
+        assert got.tobytes() == _whole_clip_log_mel(w, cfg).tobytes()
+
+    def test_block_grid(self):
+        assert dsp.MEL_BLOCK % 4 == 0
+        assert dsp._block_bounds(100) == [(0, 100)]
+        assert dsp._block_bounds(383) == [(0, 383)]
+        assert dsp._block_bounds(384) == [(0, 192), (192, 384)]
+        assert dsp._block_bounds(600) == [(0, 192), (192, 384), (384, 600)]
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
+    @pytest.mark.parametrize(
+        "patch, hop", [(187, 187), (187, 93), (24, 24), (24, 10), (8, 30)], ids=["default", "overlap", "short",
+                                                                              "short-overlap", "gaps"]
+    )
+    @pytest.mark.parametrize("rate, channels, fmt", [(16000, 1, "float32"), (44100, 2, "pcm16")])
+    def test_patch_batches_equal_the_whole_clip_patches(self, wav_factory, patch, hop, size, rate, channels, fmt):
+        cfg = DspConfig(patch_frames=patch, patch_hop_frames=hop)
+        n = samples_for_frames(1500 + patch, rate, cfg)
+        path = wav_factory(np.random.default_rng(patch + hop).uniform(-0.9, 0.9, (n, channels)), rate, fmt=fmt)
+        whole = dsp.patchify(dsp.log_mel(dsp.load_wav(path), cfg))
+        batches = list(dsp.patch_batches(path, cfg, size))
+        assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
+        assert np.concatenate(batches).tobytes() == np.ascontiguousarray(whole).tobytes()
+
+    def test_short_clip_raises_what_the_whole_clip_path_raises(self, wav_factory):
+        cfg = DspConfig()
+        for n in (100, 5000):  # shorter than one FFT, then than one patch
+            path = wav_factory(np.zeros(n), 16000)
+            with pytest.raises(AudioTooShortError) as whole:
+                dsp.patchify(dsp.log_mel(dsp.load_wav(path), cfg))
+            with pytest.raises(AudioTooShortError) as streamed:
+                next(dsp.patch_batches(path, cfg, 20))
+            assert str(streamed.value) == str(whole.value)
 
 
 class TestConfigValidation:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meltag import network, ops, store, tagger, trainer
+from meltag import dsp, network, ops, store, tagger, trainer
 from meltag.errors import ConfigInvalidError, NumericFaultError, ShapeMismatchError, TapeConsumedError
 from meltag.network import (
     MUSICNN_ATTENTION_KEYS,
@@ -769,7 +769,9 @@ class TestInferMemory:
         for n in (20, 200):
             patches = np.random.default_rng(0).normal(size=(n, cfg.patch_frames, cfg.n_mels))
             patches = patches.astype(np.float32)
-            monkeypatch.setattr(tagger, "audio_patches", lambda path, model: patches)
+            monkeypatch.setattr(
+                dsp, "patch_batches", lambda path, cfg, size: (patches[i : i + size] for i in range(0, n, size))
+            )
             tracemalloc.start()
             try:
                 tagger.compute_taggram("unread.wav", model)

@@ -988,3 +988,68 @@ class TestLayoutContract:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_bits(g, w)
+
+
+@pytest.fixture(scope="module")
+def registry_convs():
+    """(layer, padding, pool, input shape) of every registry conv layer's first forward call."""
+    from meltag import network
+
+    seen, calls = set(), []
+    original = ops.conv2d_pool
+
+    def spy(x, params, pad_h, pad_w, pool):
+        if params.name not in seen:
+            seen.add(params.name)
+            calls.append((params, (pad_h, pad_w), pool, x.shape[-3:]))
+        return original(x, params, pad_h, pad_w, pool)
+
+    ops.conv2d_pool = spy
+    try:
+        for name in ("MTT_musicnn", "MTT_vgg"):
+            model = store.load_registry_model(name)
+            d = model.config.dsp
+            network.infer_batch(np.zeros((1, d.patch_frames, d.n_mels), np.float32), model)
+    finally:
+        ops.conv2d_pool = original
+    return calls
+
+
+class TestWindowBlocks:
+    """conv2d_pool makes a large window matrix in blocks of whole output rows."""
+
+    def test_only_timbral_1_is_split_and_into_at_least_three_blocks(self, registry_convs):
+        blocks = {}
+        for params, (pad_h, pad_w), _, (c_in, h, w) in registry_convs:
+            _, _, k_h, k_w = params.weights.shape
+            rows, cols = w + 2 * pad_w - k_w + 1, h + 2 * pad_h - k_h + 1
+            blocks[params.name] = -(-rows // ops._block_rows(c_in * k_h * k_w * rows * cols, rows))
+        assert blocks.pop("timbral_1") >= 3
+        assert set(blocks.values()) == {1}
+
+    @pytest.mark.parametrize("window_block", [3 << 18, 1 << 14], ids=["default", "every_layer_split"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_blocks_keep_the_bits_of_one_whole_product(self, registry_convs, monkeypatch, window_block, dtype,
+                                                        batch):
+        rng = np.random.default_rng(batch)
+        for params, (pad_h, pad_w), pool, shape in registry_convs:
+            params = LayerParams(params.name, params.weights.astype(dtype), params.bias.astype(dtype))
+            x = rng.normal(size=(batch,) + shape).astype(dtype)
+            for p in (None, pool):
+                monkeypatch.setattr(ops, "WINDOW_BLOCK", 1 << 40)
+                whole = ops.conv2d_pool(x, params, pad_h, pad_w, p)
+                monkeypatch.setattr(ops, "WINDOW_BLOCK", window_block)
+                assert_same_bits(ops.conv2d_pool(x, params, pad_h, pad_w, p), whole)
+
+    def test_timbral_1_peak_at_batch_1(self, registry_convs):
+        params, (pad_h, pad_w), pool, shape = next(c for c in registry_convs if c[0].name == "timbral_1")
+        x = np.random.default_rng(0).normal(size=(1,) + shape).astype(np.float32)
+        for p in (None, pool):
+            tracemalloc.start()
+            try:
+                ops.conv2d_pool(x, params, pad_h, pad_w, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20, f"{peak / 2**20:.2f} MiB"  # 13.4 MiB as one block

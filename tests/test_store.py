@@ -1,5 +1,6 @@
 """Weight container round trips, tamper detection, and the model registry."""
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +186,33 @@ class TestRoundTrip:
         model = build_model(tiny_musicnn(), seed=2, tags=tags)
         path, _ = _save_blob(tmp_path, model)
         assert load_model(path).tags == tags
+
+
+class TestLoadedBuffers:
+    def test_tensors_are_writable_contiguous_float32_views_of_one_payload(self, tmp_path):
+        model = build_model(tiny_musicnn(backend="attention"), seed=3)
+        path, _ = _save_blob(tmp_path, model)
+        tensors = load_model(path).tensors()
+        for key, t in tensors.items():
+            assert t.dtype == np.float32 and t.flags.c_contiguous and t.flags.writeable, key
+        assert all(t.base is not None for t in tensors.values())
+        assert len({id(t.base) for t in tensors.values()}) == 1  # one payload buffer
+        before = {key: t.copy() for key, t in tensors.items()}
+        first = next(iter(tensors))
+        tensors[first][...] = 7.0
+        for key, t in tensors.items():
+            if key != first:
+                np.testing.assert_array_equal(t, before[key])
+        assert (tensors[first] == 7.0).all()
+
+    @pytest.mark.parametrize("name", store.MODEL_NAMES)
+    def test_registry_models_round_trip_to_their_pinned_bytes(self, tmp_path, name):
+        from test_rng import REGISTRY_SHA256
+
+        path = tmp_path / f"{name}.mcn"
+        store.save_model(store.load_registry_model(name), path)
+        tensors = load_model(path).tensors().values()
+        assert hashlib.sha256(b"".join(t.tobytes() for t in tensors)).hexdigest() == REGISTRY_SHA256[name]
 
 
 class TestLoadErrors:

@@ -1,17 +1,29 @@
-"""Taggram semantics, top-N ranking, listing format, and the tag CLI."""
+"""Taggram semantics, streamed inference, top-N ranking, listing format, and the tag CLI."""
 
+import importlib.util
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from meltag import cli, network, tagger
-from meltag.errors import TopNOutOfRangeError, UnknownModelError
+from meltag import cli, dsp, network, store, tagger
+from meltag.dsp import DspConfig
+from meltag.errors import AudioTooShortError, TopNOutOfRangeError, UnknownModelError
 from meltag.network import build_model
 from meltag.store import save_model
 from meltag.tagger import Taggram, compute_taggram, format_listing, tag_file, top_tags
 
-from conftest import tiny_musicnn, tiny_vgg
+from conftest import encode_wav, samples_for_frames, tiny_musicnn, tiny_vgg
+
+_spec = importlib.util.spec_from_file_location("synth", Path(__file__).parent.parent / "bench" / "synth.py")
+synth = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(synth)
 
 
 @pytest.fixture
@@ -91,6 +103,149 @@ class TestTaggram:
             assert (got.dtype, got.shape) == (want.dtype, want.shape), key
             assert got.tobytes() == want.tobytes(), key
         assert gram.values.tobytes() == whole["output"].tobytes()
+
+def _assert_streamed_equals_whole(path, model):
+    """infer_file's taggram and trace equal one forward_batch of the whole clip's patches."""
+    _, whole, _ = network.forward_batch(tagger.audio_patches(path, model), model)
+    gram, trace = tagger.infer_file(path, model)
+    assert set(trace) == set(whole)
+    for key, want in whole.items():
+        assert (trace[key].dtype, trace[key].shape) == (want.dtype, want.shape), key
+        assert trace[key].tobytes() == want.tobytes(), key
+    assert gram.values.tobytes() == whole["output"].tobytes()
+    return len(gram.values)
+
+
+def _registry_streamed_equals_whole(name, path):
+    return _assert_streamed_equals_whole(path, store.load_registry_model(name))
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _malformed(tmp_path):
+    """Every malformed file of tests/test_dsp.py and bench/synth.py, plus clips too short."""
+    def edit(offset, value):
+        raw = bytearray(encode_wav([0.1, 0.2, 0.3], 4000))
+        raw[offset] = value
+        return bytes(raw)
+
+    def partial_frame():
+        raw = bytearray(encode_wav(np.zeros((4, 2)), 4000))
+        size_offset = raw.rindex(b"data") + 4
+        raw[size_offset : size_offset + 4] = (15).to_bytes(4, "little")
+        raw[4:8] = (len(raw) - 1 - 8).to_bytes(4, "little")
+        return bytes(raw[:-1])
+
+    nan = np.full((6, 2), 0.25)
+    nan[4, 1] = np.nan
+    bad = np.random.default_rng(5).uniform(-0.5, 0.5, 16000 * 5)
+    blobs = {
+        "codec": edit(20, 85),
+        "depth": edit(34, 8),
+        "tri": encode_wav(np.zeros((4, 3)), 4000, fmt="float32"),
+        "empty": encode_wav(np.zeros((0,)), 4000),
+        "not_riff": b"OggS" + b"\x00" * 40,
+        "trunc": encode_wav(np.linspace(-0.5, 0.5, 64), 4000)[:-20],
+        "partial_frame": partial_frame(),
+        "nan": encode_wav(nan, 4000, fmt="float32"),
+        "second_data": encode_wav(np.zeros(4), 16000, extra_chunks=[(b"data", struct.pack("<8h", *range(8)))]),
+        "second_fmt": encode_wav(np.zeros(4), 16000, extra_chunks=[(b"fmt ", synth.fmt_chunk(1, 1, 8000, 16))]),
+        "synth_truncated": synth.truncated_wav(bad, 16000),
+        "synth_pcm24": synth.pcm24_wav(bad, 16000),
+        "synth_no_data": synth.no_data_wav(16000),
+        "shorter_than_fft": encode_wav(np.zeros(100), 16000),
+        "shorter_than_patch": encode_wav(np.zeros(5000), 16000),
+    }
+    for name, blob in blobs.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(blob)
+        yield name, path
+
+
+class TestStreamedInference:
+    """infer_file streams the clip from disk in log-mel blocks; its outputs and errors must be
+    those of the whole-clip path (audio_patches and one forward_batch)."""
+
+    @pytest.mark.parametrize("n_patches", [1, 20, 21, 44])
+    @pytest.mark.parametrize("frames_mod_4", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rate, channels, fmt", [(16000, 1, "float32"), (44100, 2, "pcm16")])
+    def test_taggram_and_trace_equal_the_whole_clip(self, wav_factory, n_patches, frames_mod_4, rate, channels,
+                                                    fmt):
+        cfg = tiny_musicnn(backend="attention", dsp=DspConfig(patch_frames=24, patch_hop_frames=24))
+        model = build_model(cfg, seed=6)
+        frames = n_patches * 24 + (frames_mod_4 - n_patches * 24) % 4
+        n = samples_for_frames(frames, rate, cfg.dsp)
+        samples = np.random.default_rng(frames).uniform(-0.9, 0.9, (n, channels))
+        path = wav_factory(samples, rate, fmt=fmt)
+        assert dsp.log_mel(dsp.load_wav(path), cfg.dsp).n_frames == frames
+        assert _assert_streamed_equals_whole(path, model) == n_patches
+
+    def test_registry_model_on_a_cd_rate_stereo_clip(self, long_wav):
+        """MTT_musicnn, 21 patches of 44.1 kHz stereo PCM16, on one OpenBLAS thread."""
+        n = samples_for_frames(21 * 187 + 2, 44100, DspConfig())
+        rng = np.random.default_rng(8)
+        path = long_wav((rng.uniform(-0.8, 0.8, (min(441000, n - i), 2)) for i in range(0, n, 441000)), 44100,
+                        channels=2)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        code = "import sys, test_tagger; print(test_tagger._registry_streamed_equals_whole(*sys.argv[1:]))"
+        child = subprocess.run(
+            [sys.executable, "-c", code, "MTT_musicnn", str(path)],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "21"
+
+    def test_malformed_files_raise_what_the_whole_clip_path_raises(self, tmp_path):
+        model = build_model(tiny_musicnn(dsp=DspConfig()), seed=6)
+        for name, path in _malformed(tmp_path):
+            whole = _outcome(lambda: tagger.audio_patches(path, model))
+            assert whole is not None, name
+            assert _outcome(lambda: tagger.infer_file(path, model)) == whole, name
+        assert whole[0] is AudioTooShortError
+
+    def test_a_late_non_finite_sample_names_its_frame_in_the_clip(self, long_wav):
+        model = build_model(tiny_musicnn(dsp=DspConfig()), seed=6)
+        n = samples_for_frames(45 * 187, 16000, model.config.dsp)
+        late = n - 1000  # in the third batch of patches
+
+        def blocks():
+            for i in range(0, n, 100000):
+                block = np.full((min(100000, n - i), 2), 0.25)
+                if i <= late < i + len(block):
+                    block[late - i, 1] = np.inf
+                yield block
+
+        path = long_wav(blocks(), 16000, fmt="float32", channels=2)
+        streamed = _outcome(lambda: tagger.infer_file(path, model))
+        assert streamed == _outcome(lambda: tagger.audio_patches(path, model))
+        assert streamed[1] == f"{path}: non-finite sample in frame {late}, channel 1"
+
+    def test_taggram_peak_with_the_front_end_does_not_grow_with_clip_length(self, long_wav):
+        """ROADMAP item 5: 60 s and 600 s of 44.1 kHz stereo PCM16, file to taggram. The
+        network is tiny, so the front end sets the peak (the whole-clip path: 50 and 504 MiB)."""
+        model = build_model(tiny_musicnn(dsp=DspConfig()), seed=6)
+
+        def clip(seconds):
+            rng = np.random.default_rng(seconds)
+            return long_wav((rng.uniform(-0.5, 0.5, (441000, 2)) for _ in range(seconds // 10)), 44100,
+                            channels=2)
+
+        peaks = []
+        for path in (clip(60), clip(600)):
+            tracemalloc.start()
+            try:
+                assert compute_taggram(path, model).n_patches in (20, 200)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], f"{peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB"
+
 
 class TestTopTags:
     def _gram(self, values, tags):
