@@ -14,6 +14,9 @@ positions come from global sample indices, each block rereads the
 fft_size - hop_size samples it shares with the next, and each mel GEMM block
 starts on a multiple of 4 frames and holds at least MEL_BLOCK of them (see
 log_mel). load_wav and log_mel are the whole-clip cases of the same code.
+A float32 file's samples that no block needs (past the last block read) are
+still checked for NaN and Inf, so a file is rejected exactly when load_wav
+rejects it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -92,6 +95,10 @@ class MelSpectrogram:
 # frames per log-mel block (see log_mel): a multiple of 4 that holds one default 187-frame
 # patch, so a block's STFT scratch stays near 2 MB however long the clip
 MEL_BLOCK = 192
+
+# sample frames per piece when patch_batches checks the float32 samples past its last block:
+# fewer than one block reads (about 49k at 16 kHz, 135k at 44.1 kHz)
+TAIL_SCAN = 1 << 16
 
 
 # --- WAV ingestion ---------------------------------------------------------
@@ -302,7 +309,7 @@ def mel_filterbank(cfg: DspConfig) -> np.ndarray:
 def _frame_count(n_in: int, rate: int, cfg: DspConfig) -> tuple[int, int]:
     """(samples, STFT frames) of an n_in-sample clip at `rate` resampled to cfg.sample_rate;
     frames < 1 when not even one fits."""
-    n = n_in if rate == cfg.sample_rate else n_in * cfg.sample_rate // rate
+    n = n_in * cfg.sample_rate // rate
     return n, (n - cfg.fft_size) // cfg.hop_size + 1
 
 
@@ -374,11 +381,18 @@ def patch_batches(path, cfg: DspConfig, size: int) -> Iterator[np.ndarray]:
     readinto, only the samples a block's frames need) and each batch is cut from the blocks.
     The blocks are log_mel's, so the batches equal patchify(log_mel(load_wav(path), cfg))
     bit for bit. A clip too short for one patch is decoded whole, so it raises what the
-    whole-clip path raises; a bad sample raises when its block is read.
+    whole-clip path raises; a bad sample raises when its block is read, or, past the last
+    block read, in the TAIL_SCAN-frame pieces checked before the last batch is yielded.
     """
     with open(path, "rb") as fh:
         wav = _read_header(fh, path)
-        read = partial(_read_samples, fh, wav)
+        seen = 0  # the blocks read sample frames 0..seen
+
+        def read(a: int, b: int) -> np.ndarray:
+            nonlocal seen
+            seen = max(seen, b)
+            return _read_samples(fh, wav, a, b)
+
         _, frames = _frame_count(wav.frames, wav.rate, cfg)
         pf, ph = cfg.patch_frames, cfg.patch_hop_frames
         if frames < pf:  # raises, as the whole-clip path would
@@ -395,6 +409,9 @@ def patch_batches(path, cfg: DspConfig, size: int) -> Iterator[np.ndarray]:
                 _log_mel_frames(read, wav.frames, wav.rate, cfg, a, b, made[-1][1])
             batch = patchify(MelSpectrogram(_cut(made, start, stop), cfg))
             made = [(a, block) for a, block in made if a + len(block) > p1 * ph]  # the next batch's
+            if p1 == n_patches and wav.code == _FLOAT32:  # frames no block needs are checked too
+                for a in range(seen, wav.frames, TAIL_SCAN):
+                    _read_samples(fh, wav, a, min(a + TAIL_SCAN, wav.frames))
             yield batch
             del batch  # freed before the next batch is made, if the caller has let it go
 

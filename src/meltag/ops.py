@@ -169,7 +169,8 @@ def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool
     for b, win_b in enumerate(win):
         m = maps[0 if pool else b]
         mm = m.reshape(len(w), -1)
-        if step >= rows:  # one block: dot's lower per-call cost matters on toy-size layers
+        if step >= rows:  # one block: dot, as the loop's one matmul ran toy and temporal layers
+            # 6-72 % slower in alternating timings (BENCH_19.json, one_block_gemm)
             np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=mm)
         else:  # matmul writes each block into its columns of the map's strided rows
             for r in range(0, rows, step):

@@ -209,10 +209,14 @@ class TestStreamedInference:
             assert _outcome(lambda: tagger.infer_file(path, model)) == whole, name
         assert whole[0] is AudioTooShortError
 
-    def test_a_late_non_finite_sample_names_its_frame_in_the_clip(self, long_wav):
-        model = build_model(tiny_musicnn(dsp=DspConfig()), seed=6)
+    @pytest.mark.parametrize("hop, back", [(187, 1000), (187, 1), (600, 1000)])
+    def test_a_late_non_finite_sample_names_its_frame_in_the_clip(self, long_wav, hop, back):
+        """An Inf in the third batch's last block, in the final sample (past the last STFT
+        frame), and in frames that no block reads (600-frame patch hops leave the clip's last
+        ~350 frames unread): the streamed path raises what load_wav raises."""
+        model = build_model(tiny_musicnn(dsp=DspConfig(patch_hop_frames=hop)), seed=6)
         n = samples_for_frames(45 * 187, 16000, model.config.dsp)
-        late = n - 1000  # in the third batch of patches
+        late = n - back
 
         def blocks():
             for i in range(0, n, 100000):
