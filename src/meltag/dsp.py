@@ -6,17 +6,15 @@ PCM 16-bit (format code 1) or IEEE float 32-bit (format code 3) samples,
 mono or stereo. Compressed codecs are a preprocessing step for the user.
 
 The spectrogram is made in blocks of MEL_BLOCK frames on a grid from frame 0.
-log_mel fills a whole clip's frames block by block, and patch_batches streams
-the same blocks from a file, reading only the samples each block needs (seek
-and readinto), so file-to-patches memory is one batch of patches plus one
-block's scratch, however long the clip. Blocks change no bits: resampler
-positions come from global sample indices, each block rereads the
-fft_size - hop_size samples it shares with the next, and each mel GEMM block
-starts on a multiple of 4 frames and holds at least MEL_BLOCK of them (see
-log_mel). load_wav and log_mel are the whole-clip cases of the same code.
-A float32 file's samples that no block needs (past the last block read) are
-still checked for NaN and Inf, so a file is rejected exactly when load_wav
-rejects it.
+log_mel collects a whole clip's blocks, and patch_batches streams the same
+blocks from a file (seek and readinto), so file-to-patches memory is one batch
+of patches plus one block's scratch, however long the clip. Blocks change no
+bits: resampler positions come from global sample indices, each block rereads
+the fft_size - hop_size samples it shares with the next, and each mel GEMM
+block starts on a multiple of 4 frames and holds at least MEL_BLOCK of them
+(see log_mel). Each block reads at least up to the next block's first sample
+and the last reads to the end of the clip, so the blocks read every sample,
+and a file is rejected exactly when load_wav rejects it.
 """
 
 from __future__ import annotations
@@ -95,10 +93,6 @@ class MelSpectrogram:
 # frames per log-mel block (see log_mel): a multiple of 4 that holds one default 187-frame
 # patch, so a block's STFT scratch stays near 2 MB however long the clip
 MEL_BLOCK = 192
-
-# sample frames per piece when patch_batches checks the float32 samples past its last block:
-# fewer than one block reads (about 49k at 16 kHz, 135k at 44.1 kHz)
-TAIL_SCAN = 1 << 16
 
 
 # --- WAV ingestion ---------------------------------------------------------
@@ -320,21 +314,22 @@ def _block_bounds(frames: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops[:-1]], stops))
 
 
-def _log_mel_frames(read, n_in: int, rate: int, cfg: DspConfig, a: int, b: int, out: np.ndarray) -> None:
-    """Log-mel frames a..b of an n_in-sample clip at `rate` into out, reading its samples with
-    read(start, stop). Only those frames' resampled samples are made, from global indices, so a
-    block rereads the fft_size - hop_size samples it shares with the next instead of carrying them."""
-    k0, k1 = a * cfg.hop_size, (b - 1) * cfg.hop_size + cfg.fft_size
-    if rate == cfg.sample_rate:
-        s = read(k0, k1)
-    else:
-        ratio = rate / cfg.sample_rate
+def _log_mel_blocks(read, n_in: int, rate: int, cfg: DspConfig, frames: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first frame, log-mel frames) of each _block_bounds block of a clip with `frames` frames
+    and n_in samples at `rate`, in order, its samples read with read(start, stop). A block makes
+    only its frames' resampled samples, from global indices, so it rereads the fft_size -
+    hop_size samples it shares with the next instead of carrying them. Its read reaches past
+    the next block's first sample (int(k1 * ratio) with k1 >= the next block's k0), and the last
+    block's to the end of the clip, so together the reads cover every sample."""
+    ratio = rate / cfg.sample_rate
+    for a, b in _block_bounds(frames):
+        k0, k1 = a * cfg.hop_size, (b - 1) * cfg.hop_size + cfg.fft_size
         first = min(int(k0 * ratio), n_in - 1)
-        s = _resampled(read(first, min(n_in, int((k1 - 1) * ratio) + 2)), first, n_in, k0, k1, ratio)
-    magnitudes = stft_magnitude(Waveform(s, cfg.sample_rate), cfg.fft_size, cfg.hop_size)
-    np.matmul(magnitudes, mel_filterbank(cfg).T, out=out)
-    out += cfg.log_offset
-    np.log(out, out=out)
+        s = read(first, n_in if b == frames else min(n_in, int(k1 * ratio) + 2))
+        s = s[: k1 - k0] if rate == cfg.sample_rate else _resampled(s, first, n_in, k0, k1, ratio)
+        values = stft_magnitude(Waveform(s, cfg.sample_rate), cfg.fft_size, cfg.hop_size) @ mel_filterbank(cfg).T
+        values += cfg.log_offset
+        yield a, np.log(values, out=values)
 
 
 def log_mel(w: Waveform, cfg: DspConfig = DspConfig()) -> MelSpectrogram:
@@ -353,8 +348,8 @@ def log_mel(w: Waveform, cfg: DspConfig = DspConfig()) -> MelSpectrogram:
     if frames < 1:
         raise AudioTooShortError(f"{n_out} samples < fft_size {cfg.fft_size}")
     values = np.empty((frames, cfg.n_mels))
-    for a, b in _block_bounds(frames):
-        _log_mel_frames(lambda i, j: w.samples[i:j], n, w.sample_rate, cfg, a, b, values[a:b])
+    for a, block in _log_mel_blocks(lambda i, j: w.samples[i:j], n, w.sample_rate, cfg, frames):
+        values[a : a + len(block)] = block
     return MelSpectrogram(values=values, config=cfg)
 
 
@@ -377,41 +372,32 @@ def patchify(m: MelSpectrogram) -> np.ndarray:
 
 def patch_batches(path, cfg: DspConfig, size: int) -> Iterator[np.ndarray]:
     """The patches of a WAV file, `size` at a time, in memory bounded by a batch, not by the
-    clip: the header is checked first, then the data chunk is read block by block (seek and
-    readinto, only the samples a block's frames need) and each batch is cut from the blocks.
-    The blocks are log_mel's, so the batches equal patchify(log_mel(load_wav(path), cfg))
-    bit for bit. A clip too short for one patch is decoded whole, so it raises what the
-    whole-clip path raises; a bad sample raises when its block is read, or, past the last
-    block read, in the TAIL_SCAN-frame pieces checked before the last batch is yielded.
+    clip: the header is checked first, then log_mel's blocks are read from the data chunk in
+    turn and each batch is cut from them, so the batches equal
+    patchify(log_mel(load_wav(path), cfg)) bit for bit. A clip too short for one patch is
+    decoded whole, so it raises what the whole-clip path raises. The blocks' reads cover the
+    data chunk and every block is made before the last batch is yielded, so a bad sample
+    anywhere raises as load_wav raises it.
     """
     with open(path, "rb") as fh:
         wav = _read_header(fh, path)
-        seen = 0  # the blocks read sample frames 0..seen
-
-        def read(a: int, b: int) -> np.ndarray:
-            nonlocal seen
-            seen = max(seen, b)
-            return _read_samples(fh, wav, a, b)
-
         _, frames = _frame_count(wav.frames, wav.rate, cfg)
         pf, ph = cfg.patch_frames, cfg.patch_hop_frames
         if frames < pf:  # raises, as the whole-clip path would
-            patchify(log_mel(Waveform(read(0, wav.frames), wav.rate), cfg))
-        bounds = iter(_block_bounds(frames))
+            patchify(log_mel(Waveform(_read_samples(fh, wav, 0, wav.frames), wav.rate), cfg))
+        blocks = _log_mel_blocks(lambda a, b: _read_samples(fh, wav, a, b), wav.frames, wav.rate, cfg, frames)
         made: list[tuple[int, np.ndarray]] = []  # (first frame, frames) of blocks still to be read
         n_patches = (frames - pf) // ph + 1
         for p0 in range(0, n_patches, size):
             p1 = min(p0 + size, n_patches)
             start, stop = p0 * ph, (p1 - 1) * ph + pf
             while not made or made[-1][0] + len(made[-1][1]) < stop:
-                a, b = next(bounds)
-                made.append((a, np.empty((b - a, cfg.n_mels))))
-                _log_mel_frames(read, wav.frames, wav.rate, cfg, a, b, made[-1][1])
+                made.append(next(blocks))
             batch = patchify(MelSpectrogram(_cut(made, start, stop), cfg))
             made = [(a, block) for a, block in made if a + len(block) > p1 * ph]  # the next batch's
-            if p1 == n_patches and wav.code == _FLOAT32:  # frames no block needs are checked too
-                for a in range(seen, wav.frames, TAIL_SCAN):
-                    _read_samples(fh, wav, a, min(a + TAIL_SCAN, wav.frames))
+            if p1 == n_patches:
+                for _ in blocks:  # the blocks past the last patch: read, so their samples are checked
+                    pass
             yield batch
             del batch  # freed before the next batch is made, if the caller has let it go
 

@@ -261,6 +261,9 @@ class Model:
             )
         if len(set(self.tags)) != len(self.tags):
             raise ConfigInvalidError("tag vocabulary has duplicates")
+        for tag in self.tags:  # a line break would split the tag's line of a saved manifest
+            if "".join(tag.splitlines()) != tag:
+                raise ConfigInvalidError(f"tag {tag!r} holds a line break")
         self._by_name = {p.name: p for p in self.params}
         self._check_shapes()
 

@@ -145,9 +145,10 @@ def parse_fields(cls, fields: dict[str, str], defaults: bool = False):
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file (train config, transfer manifest), line endings kept."""
+    """A UTF-8 text file (train config, transfer manifest), line endings kept and a leading
+    byte-order mark, as spreadsheets write it, dropped."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigInvalidError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None

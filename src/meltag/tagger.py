@@ -35,18 +35,14 @@ class Taggram:
         return self.values.shape[0]
 
 
-def audio_patches(path, model: Model) -> np.ndarray:
-    """Decode, mel-transform, and window a whole file into a read-only [B, T, M] patch view."""
-    return dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp))
-
-
 def infer_file(path, model: Model, keys=None) -> tuple[Taggram, dict[str, np.ndarray]]:
     """The inference path shared by tag, extract and transfer: the taggram and the trace
     keys `output` plus `keys` (None: all) of every patch of a file. dsp.patch_batches checks
     the header, then streams the clip's log-mel blocks into batches of INFER_BATCH patches;
     each runs through the tapeless network.infer_batch, its full trace dropped before the next.
     So memory is bounded by a batch, and since rows are independent the result equals one
-    whole-clip batch of audio_patches bit for bit."""
+    batch of the whole clip's patches, dsp.patchify(dsp.log_mel(dsp.load_wav(path), cfg)), bit
+    for bit."""
     cfg = model.config.dsp
     keep = model.config.trace_keys() if keys is None else {"output", *keys}
 

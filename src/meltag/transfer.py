@@ -222,12 +222,12 @@ class PipelineReport:
         return "\n".join(lines) + "\n"
 
     def confusion_csv(self) -> str:
-        header = "," + ",".join(self.labels)
-        body = [
-            label + "," + ",".join(str(int(v)) for v in row)
-            for label, row in zip(self.labels, self.confusion)
-        ]
-        return "\n".join([header, *body]) + "\n"
+        """The confusion matrix as CSV, labels quoted where the csv module needs it."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["", *self.labels])
+        writer.writerows([label, *(int(v) for v in row)] for label, row in zip(self.labels, self.confusion))
+        return out.getvalue()
 
 
 def run_pipeline(

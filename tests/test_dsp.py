@@ -423,6 +423,25 @@ class TestBlocks:
         assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
         assert np.concatenate(batches).tobytes() == np.ascontiguousarray(whole).tobytes()
 
+    @pytest.mark.parametrize("hop", [187, 600], ids=["default", "gaps"])
+    def test_patch_batches_make_each_block_once(self, wav_factory, monkeypatch, hop):
+        """Every block of the grid is made once, in order, even past the last patch (a 600-frame
+        patch hop leaves the clip's last 413 frames, the whole last block, out of every patch)."""
+        cfg = DspConfig(patch_hop_frames=hop)
+        n = samples_for_frames(2400, 16000, cfg)
+        path = wav_factory(np.random.default_rng(hop).uniform(-0.5, 0.5, n), 16000, fmt="float32")
+        stft_magnitude = dsp.stft_magnitude
+        made = []
+
+        def spy(*args):
+            magnitudes = stft_magnitude(*args)
+            made.append(len(magnitudes))
+            return magnitudes
+
+        monkeypatch.setattr(dsp, "stft_magnitude", spy)
+        assert len(np.concatenate(list(dsp.patch_batches(path, cfg, 3)))) == (2400 - 187) // hop + 1
+        assert made == [b - a for a, b in dsp._block_bounds(2400)]
+
     def test_short_clip_raises_what_the_whole_clip_path_raises(self, wav_factory):
         cfg = DspConfig()
         for n in (100, 5000):  # shorter than one FFT, then than one patch

@@ -71,12 +71,11 @@ class TestExtract:
         np.testing.assert_array_equal(with_flag.values, without.values)
 
     def test_taggram_matches_per_patch_forward(self, tiny_wav):
-        from meltag import network
-        from meltag.tagger import audio_patches
+        from meltag import dsp, network
 
         model = build_model(tiny_vgg(), seed=4)
         taggram, _, _ = extract(tiny_wav, model)
-        for k, patch in enumerate(audio_patches(tiny_wav, model)):
+        for k, patch in enumerate(dsp.patchify(dsp.log_mel(dsp.load_wav(tiny_wav), model.config.dsp))):
             np.testing.assert_array_equal(
                 taggram.values[k], network.forward_batch(patch, model)[1]["output"][0]
             )

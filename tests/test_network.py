@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -171,6 +172,12 @@ class TestBuildModel:
     def test_duplicate_tags_rejected(self):
         with pytest.raises(ConfigInvalidError):
             build_model(tiny_musicnn(), tags=("same", "same"))
+
+    @pytest.mark.parametrize("tag", ["b\rc", "b\nc", "b\r", "b\x0bc", "b\x1cc", "b\x85c", "b\u2028c"])
+    def test_a_tag_with_a_line_break_is_rejected(self, tag):
+        """A saved manifest holds one tag a line, so such a tag would not load back."""
+        with pytest.raises(ConfigInvalidError, match=re.escape(repr(tag))):
+            build_model(tiny_musicnn(), tags=("a", tag))
 
     def test_unknown_numeric_mode_rejected(self):
         """An unknown mode used to give a float32 model carrying that mode."""

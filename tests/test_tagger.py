@@ -14,7 +14,7 @@ import pytest
 
 from meltag import cli, dsp, network, store, tagger
 from meltag.dsp import DspConfig
-from meltag.errors import AudioTooShortError, TopNOutOfRangeError, UnknownModelError
+from meltag.errors import AudioTooShortError, NumericFaultError, TopNOutOfRangeError, UnknownModelError
 from meltag.network import build_model
 from meltag.store import save_model
 from meltag.tagger import Taggram, compute_taggram, format_listing, tag_file, top_tags
@@ -86,7 +86,7 @@ class TestTaggram:
         cfg = tiny_musicnn(backend="attention") if family == "musicnn" else tiny_vgg()
         model = build_model(cfg, seed=6)
         path = wav_factory(np.random.default_rng(3).uniform(-0.5, 0.5, 256 * 45), 2000)
-        _, whole, _ = network.forward_batch(tagger.audio_patches(path, model), model)
+        _, whole, _ = network.forward_batch(dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp)), model)
         infer_batch = network.infer_batch
         sizes = []
 
@@ -106,7 +106,7 @@ class TestTaggram:
 
 def _assert_streamed_equals_whole(path, model):
     """infer_file's taggram and trace equal one forward_batch of the whole clip's patches."""
-    _, whole, _ = network.forward_batch(tagger.audio_patches(path, model), model)
+    _, whole, _ = network.forward_batch(dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp)), model)
     gram, trace = tagger.infer_file(path, model)
     assert set(trace) == set(whole)
     for key, want in whole.items():
@@ -170,7 +170,7 @@ def _malformed(tmp_path):
 
 class TestStreamedInference:
     """infer_file streams the clip from disk in log-mel blocks; its outputs and errors must be
-    those of the whole-clip path (audio_patches and one forward_batch)."""
+    those of the whole-clip path (load_wav, log_mel, patchify and one forward_batch)."""
 
     @pytest.mark.parametrize("n_patches", [1, 20, 21, 44])
     @pytest.mark.parametrize("frames_mod_4", [0, 1, 2, 3])
@@ -204,7 +204,7 @@ class TestStreamedInference:
     def test_malformed_files_raise_what_the_whole_clip_path_raises(self, tmp_path):
         model = build_model(tiny_musicnn(dsp=DspConfig()), seed=6)
         for name, path in _malformed(tmp_path):
-            whole = _outcome(lambda: tagger.audio_patches(path, model))
+            whole = _outcome(lambda: dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp)))
             assert whole is not None, name
             assert _outcome(lambda: tagger.infer_file(path, model)) == whole, name
         assert whole[0] is AudioTooShortError
@@ -212,8 +212,8 @@ class TestStreamedInference:
     @pytest.mark.parametrize("hop, back", [(187, 1000), (187, 1), (600, 1000)])
     def test_a_late_non_finite_sample_names_its_frame_in_the_clip(self, long_wav, hop, back):
         """An Inf in the third batch's last block, in the final sample (past the last STFT
-        frame), and in frames that no block reads (600-frame patch hops leave the clip's last
-        ~350 frames unread): the streamed path raises what load_wav raises."""
+        frame), and in frames past the last patch (600-frame patch hops leave the clip's last
+        ~350 frames out of every patch): the streamed path raises what load_wav raises."""
         model = build_model(tiny_musicnn(dsp=DspConfig(patch_hop_frames=hop)), seed=6)
         n = samples_for_frames(45 * 187, 16000, model.config.dsp)
         late = n - back
@@ -227,8 +227,21 @@ class TestStreamedInference:
 
         path = long_wav(blocks(), 16000, fmt="float32", channels=2)
         streamed = _outcome(lambda: tagger.infer_file(path, model))
-        assert streamed == _outcome(lambda: tagger.audio_patches(path, model))
+        assert streamed == _outcome(lambda: dsp.patchify(dsp.log_mel(dsp.load_wav(path), model.config.dsp)))
         assert streamed[1] == f"{path}: non-finite sample in frame {late}, channel 1"
+
+    def test_a_non_finite_sample_between_two_blocks_reads_raises(self, wav_factory):
+        """With fft_size == hop_size at 48 kHz, input sample 147,455 lies past the resampler
+        window of block 0's last frame and before block 1's first; the stream still reads it."""
+        cfg = DspConfig(fft_size=256, hop_size=256, n_mels=40, patch_frames=50, patch_hop_frames=50)
+        model = build_model(tiny_musicnn(dsp=cfg), seed=6)
+        samples = np.full(48000 * 20, 0.25)
+        samples[147455] = np.nan
+        path = wav_factory(samples, 48000, fmt="float32")
+        whole = _outcome(lambda: dsp.load_wav(path))
+        assert whole == (NumericFaultError, f"{path}: non-finite sample in frame 147455, channel 0")
+        assert _outcome(lambda: list(dsp.patch_batches(path, cfg, 20))) == whole
+        assert _outcome(lambda: tagger.infer_file(path, model)) == whole
 
     def test_taggram_peak_with_the_front_end_does_not_grow_with_clip_length(self, long_wav):
         """ROADMAP item 5: 60 s and 600 s of 44.1 kHz stereo PCM16, file to taggram. The

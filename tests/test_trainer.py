@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, and the train CLI."""
 
+import codecs
 import tracemalloc
 
 import numpy as np
@@ -432,6 +433,13 @@ class TestTrainCli:
         second = capsys.readouterr().out
         assert first == second
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """A BOM used to become part of the first key: "unknown config keys: \\ufeffmodel"."""
+        config = tmp_path / "train.cfg"
+        config.write_bytes(codecs.BOM_UTF8 + b"model toy_vgg\ndataset_size 2\nepochs 1\nbatch_size 2\n")
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")]) == 0
+        assert load_model(tmp_path / "x.mcn").config.family == "vgg"
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         config = self._config_file(tmp_path, "model toy_musicnn\nmomentum 0.9\n")

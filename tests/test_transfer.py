@@ -1,6 +1,9 @@
 """PCA and SVM estimators, the dataset manifest, and the transfer pipeline."""
 
+import codecs
+import csv
 import hashlib
+import io
 import itertools
 import time
 
@@ -22,6 +25,7 @@ from meltag.transfer import (
     DatasetManifest,
     LinearSvmOneVsRest,
     ManifestRow,
+    PipelineReport,
     PrincipalComponents,
     load_manifest,
     run_pipeline,
@@ -404,6 +408,12 @@ class TestManifest:
         with pytest.raises(ConfigInvalidError):
             load_manifest(path)
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        """Spreadsheets start a "CSV UTF-8" file with a BOM, which used to hide the path column."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"path,label,split\na.wav,x,train\n")
+        assert load_manifest(path).rows == (ManifestRow(path=str(tmp_path / "a.wav"), label="x", split="train"),)
+
     def test_empty_manifest(self, tmp_path):
         path = self._write(tmp_path, "path,label,split\n")
         with pytest.raises(ConfigInvalidError):
@@ -469,6 +479,12 @@ class TestPipeline:
         lines = csv_text.splitlines()
         assert lines[0] == ",noise,tone"
         assert lines[1].startswith("noise,") and lines[2].startswith("tone,")
+
+    def test_confusion_csv_quotes_labels_that_need_it(self):
+        labels = ("rock, classic", 'say "hi"')
+        report = PipelineReport(labels, "penultimate", 2, 1.0, 0.5, np.array([[1, 0], [1, 0]]), ())
+        rows = list(csv.reader(io.StringIO(report.confusion_csv())))
+        assert rows == [["", *labels], [labels[0], "1", "0"], [labels[1], "1", "0"]]
 
     def test_feature_key_override(self, tmp_path, wav_factory):
         manifest, model = _two_genre_setup(tmp_path, wav_factory)
