@@ -24,11 +24,12 @@ pool_mean_over_axis; grad_out in dense_backward, batchnorm_train_backward
 and conv2d_backward's bias sum; the summed terms of both softmax ops), and
 the conv ops copy x into padded windows.
 
-conv2d_pool makes an example's window (im2col) matrix past two WINDOW_BLOCKs
-in equal blocks of whole output rows, a multiple of 8 rows each, and
-multiplies each into its rows of the map, which keeps the bits of one whole
-product (the memory-efficient lowering of Cho & Brand, ICML 2017, in its
-simplest form).
+Both conv ops lower an example to one GEMM in bands of g outputs along the
+width (Chellapilla, Puri & Simard, 2006): windows kW + g - 1 wide, g apart,
+times band weights whose row (o, p) is kernel o shifted p taps, copying each
+input value about g times fewer (the trade of Cho & Brand's MEC, ICML 2017).
+g is the most outputs up to the map's width with (kW + g - 1) / kW <= 1.3: 1
+(im2col) for narrow kernels, 11 and 12 for MTT_musicnn's timbral ones.
 
 Every forward surfaces NaN/Inf as NumericFaultError naming the layer (conv2d
 also names the batch row): silent non-finite values would otherwise poison
@@ -108,37 +109,39 @@ def _sum_examples(g: np.ndarray, example_ndim: int) -> np.ndarray:
 
 # --- convolution -----------------------------------------------------------
 
-def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int) -> np.ndarray:
-    """Read-only [..., H', W', kH, kW] view of every window of x zero-padded
-    on its last two axes: one buffer for the whole batch, no copy per window."""
+def _conv_windows(x: np.ndarray, k_h: int, k_w: int, pad_h: int, pad_w: int, g_h=1, g_w=1) -> np.ndarray:
+    """Read-only [..., H'', W'', kH + g_h - 1, kW + g_w - 1] view of the windows of x zero-padded
+    on its last two axes, g_h and g_w outputs apart: each window covers a band of g_h x g_w outputs,
+    the last band's zero-padded past the input. One buffer for the whole batch, no copy per window."""
     *lead, h, w = x.shape
     hp, wp = h + 2 * pad_h, w + 2 * pad_w
     if k_h > hp or k_w > wp:
         raise ShapeMismatchError(f"kernel {k_h}x{k_w} larger than padded input {hp}x{wp}")
-    xp = np.zeros((*lead, hp, wp), dtype=x.dtype)
+    nh, nw = -(-(hp - k_h + 1) // g_h), -(-(wp - k_w + 1) // g_w)
+    kh, kw = k_h + g_h - 1, k_w + g_w - 1
+    xp = np.zeros((*lead, (nh - 1) * g_h + kh, (nw - 1) * g_w + kw), dtype=x.dtype)
     xp[..., pad_h : pad_h + h, pad_w : pad_w + w] = x
-    shape = (*lead, hp - k_h + 1, wp - k_w + 1, k_h, k_w)
-    win = np.ndarray(shape, xp.dtype, xp, 0, xp.strides + xp.strides[-2:])
+    *s, s_h, s_w = xp.strides
+    win = np.ndarray((*lead, nh, nw, kh, kw), xp.dtype, xp, 0, (*s, g_h * s_h, g_w * s_w, s_h, s_w))
     win.flags.writeable = False
     return win
 
 
-# an example's window matrix is made in blocks of about this many entries (3 MiB of float32)
-# once it holds more than two: MTT_musicnn timbral_1's 2.9M entries in 4, while timbral_0's
-# 1.2M and vgg block2's 1.3M, which run slower in blocks, stay whole
-WINDOW_BLOCK = 3 << 18
-
-
-def _block_rows(size: int, rows: int) -> int:
-    """Output rows per block of a `size`-entry window matrix with `rows` output rows: all of
-    them up to two WINDOW_BLOCKs, else equal blocks rounded up to a multiple of 8 rows. So
-    every block starts on and spans a multiple of 8 of the GEMM's columns (or ends the map),
-    which keeps each column's bits those of one whole product in float64 as in float32."""
-    n = -(-size // WINDOW_BLOCK)
-    if n <= 2:
-        return rows
-    per_block = -(-rows // n)
-    return -(-per_block // 8) * 8
+def _band_weights(x: np.ndarray, params: LayerParams, pad_w: int) -> tuple[np.ndarray, int, int]:
+    """(A, g, W') of a conv of x: W' outputs across the width in bands of g, the most up to W' with
+    (kW + g - 1) / kW <= 1.3, and the band weights A [C_out * g, C_in * kH * (kW + g - 1)], whose
+    row (o, p) is kernel o shifted p taps along the width."""
+    w = params.weights
+    if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
+        raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
+    (c_out, c_in, k_h, k_w), wo = w.shape, x.shape[-1] + 2 * pad_w - w.shape[3] + 1
+    g = min(wo, 1 + 3 * k_w // 10)
+    if g < 2:  # and W' < 1 fails in _conv_windows
+        return w.reshape(c_out, -1), 1, wo
+    a = np.zeros((c_out, g, c_in, k_h, k_w + g - 1), w.dtype)
+    s = a.strides  # a view whose element (o, p, c, i, j) is a's (o, p, c, i, p + j)
+    np.ndarray((c_out, g, c_in, k_h, k_w), a.dtype, a, 0, (s[0], s[1] + s[4]) + s[2:])[...] = w[:, None]
+    return a.reshape(c_out * g, -1), g, wo
 
 
 def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -> np.ndarray:
@@ -150,33 +153,33 @@ def conv2d(x: np.ndarray, params: LayerParams, pad_h: int = 0, pad_w: int = 0) -
 def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool) -> np.ndarray:
     """conv2d storing pool(map) of each example's map, passed as a batch of one (or the map if
     pool is None), so the batch's full maps are never built; each map is checked finite first."""
-    w = params.weights
-    if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
-        raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
-    # windows of the transposed input give [N, C_in, W', H', kW, kH]: the output is
+    a, g, wo = _band_weights(x, params, pad_w)
+    c_out, c_in, k_h, k_w = params.weights.shape
+    # windows of the transposed input give [N, C_in, bands, H', kW + g - 1, kH]: the output is
     # stored width-major, so a max over width (musicnn's frequency) reads whole rows
-    xt = x.reshape((-1,) + x.shape[-3:]).swapaxes(-1, -2)
-    win = _conv_windows(xt, w.shape[3], w.shape[2], pad_w, pad_h)
-    wm = w.reshape(len(w), -1)
-    rows, cols = win.shape[2:4]  # output rows (W') of H' columns each
-    step = _block_rows(wm.shape[1] * rows * cols, rows)
-    # one GEMM per example and block (a batched GEMM's bits vary with B) into the example's map,
-    # or one reused map when pooling; each unnamed block copy is freed before the next is made
-    maps = np.empty((1 if pool else len(win), len(w), rows, cols), dtype=np.result_type(w, win))
+    win = _conv_windows(x.reshape((-1,) + x.shape[-3:]).swapaxes(-1, -2), k_w, k_h, pad_w, pad_h, g)
+    bands, cols = win.shape[2:4]
+    # one buffer per call (made apart, they were mapped and unmapped each time): the product, unless
+    # its rows (o, p) and columns (band, t) are the map's (o, w, t); the pooled map; the windows, unless
+    # the last map (made last) has room
+    direct, w_size, size = g == 1 or bands == 1, a.shape[1] * bands * cols, c_out * wo * cols
+    at, in_map, full = 0 if direct else len(a) * bands * cols, not direct and w_size <= size, wo // g
+    buf = np.empty(at + size * bool(pool) + (0 if in_map else w_size), np.result_type(a, win))
+    shape = (1 if pool else len(win), c_out, wo, cols)
+    maps = buf[at : at + size].reshape(shape) if pool else np.empty(shape, buf.dtype)
+    wm = maps[-1:].reshape(-1)[:w_size] if in_map else buf[len(buf) - w_size :]
+    wm, wm5 = wm.reshape(-1, bands * cols), wm.reshape(c_in, k_h, -1, bands, cols)
     out = maps.swapaxes(-1, -2)
     if pool:  # stores the pools instead; their shape from an empty batch
-        out = np.empty((len(win),) + pool(out[:0]).shape[1:], dtype=maps.dtype)
-    for b, win_b in enumerate(win):
+        out = np.empty((len(win),) + pool(out[:0]).shape[1:], dtype=buf.dtype)
+    for b, win_b in enumerate(win):  # one GEMM per example: a batched GEMM's bits vary with B
         m = maps[0 if pool else b]
-        mm = m.reshape(len(w), -1)
-        if step >= rows:  # one block: dot, as the loop's one matmul ran toy and temporal layers
-            # 6-72 % slower in alternating timings (BENCH_19.json, one_block_gemm)
-            np.dot(wm, win_b.transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1), out=mm)
-        else:  # matmul writes each block into its columns of the map's strided rows
-            for r in range(0, rows, step):
-                r1 = min(r + step, rows)
-                np.matmul(wm, win_b[:, r:r1].transpose(0, 4, 3, 1, 2).reshape(wm.shape[1], -1),
-                          out=mm[:, r * cols : r1 * cols])
+        np.copyto(wm5, win_b.transpose(0, 4, 3, 1, 2))
+        np.matmul(a, wm, out=(m if direct else buf[:at]).reshape(len(a), -1))
+        if not direct:  # map row band * g + p is (p, band) of the product: the whole bands, then the rest
+            prod = buf[:at].reshape(c_out, g, bands, cols)
+            np.copyto(m[:, : full * g].reshape(c_out, full, g, cols), prod[:, :, :full].swapaxes(1, 2))
+            np.copyto(m[:, full * g :], prod[:, : wo - full * g, -1])
         if params.bias is not None:
             m += params.bias[:, None, None]
         if pool:  # the one map buffer is reused: check each map before its pool
@@ -188,45 +191,42 @@ def conv2d_pool(x: np.ndarray, params: LayerParams, pad_h: int, pad_w: int, pool
     return out.reshape(x.shape[:-3] + out.shape[1:])
 
 
-def conv2d_backward(
-    x: np.ndarray,
-    params: LayerParams,
-    grad_out: np.ndarray,
-    pad_h: int = 0,
-    pad_w: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Exact gradients of conv2d: (grad_input, grad_weights, grad_bias).
+def conv2d_backward(x: np.ndarray, params: LayerParams, grad_out: np.ndarray, pad_h: int = 0,
+                    pad_w: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exact gradients of conv2d through its bands: (grad_input, grad_weights, grad_bias).
     grad_input is the transposed convolution: a GEMM over C_out, then a scatter-add."""
-    w = params.weights
-    if x.ndim < 3 or w.ndim != 4 or w.shape[1] != x.shape[-3]:
-        raise ShapeMismatchError(f"{params.name}: conv input {x.shape} vs weights {w.shape}")
-    c_in, k_h, k_w = w.shape[1:]
-    xs = x.reshape((-1,) + x.shape[-3:])
-    win = _conv_windows(xs, k_h, k_w, pad_h, pad_w)
-    if grad_out.shape != x.shape[:-3] + (w.shape[0],) + win.shape[2:4]:
-        raise ShapeMismatchError(
-            f"{params.name}: grad_out {grad_out.shape} inconsistent with forward"
-        )
-    gs = grad_out.reshape(xs.shape[:1] + grad_out.shape[-3:])
-    (h, wd), (ho, wo) = x.shape[-2:], win.shape[2:4]
-    # tap (i, j) of output (p, q) adds onto padded input (p + i, q + j). That is
-    # symmetric, so on each axis the loop runs over the shorter of taps and outputs
-    # and adds a plane as long as the longer, planes in row-major (i, j) order
-    gp = np.zeros((len(xs), c_in, h + 2 * pad_h, wd + 2 * pad_w), dtype=np.result_type(w, gs))
-    wm = w.reshape(len(w), -1)
+    a, g, wo = _band_weights(x, params, pad_w)
+    (c_out, c_in, k_h, k_w), (h, wd) = params.weights.shape, x.shape[-2:]
+    win = _conv_windows(x.reshape((-1,) + x.shape[-3:]), k_h, k_w, pad_h, pad_w, 1, g)
+    (ho, bands), kb = win.shape[2:4], win.shape[-1]  # of win [N, C_in, H', bands, kH, kW + g - 1]
+    if grad_out.shape != x.shape[:-3] + (c_out, ho, wo):
+        raise ShapeMismatchError(f"{params.name}: grad_out {grad_out.shape} inconsistent with forward")
+    gs = grad_out.reshape((len(win),) + grad_out.shape[-3:])
+    if g > 1:  # row (o, p), column (t, band) of a band GEMM is output (o, t, band * g + p), 0 past W'
+        gs = np.ascontiguousarray(_conv_windows(gs, 1, 1, 0, 0, 1, g)[..., 0, :].transpose(0, 1, 4, 2, 3))
+    # tap (i, j) of band output (t, band) adds onto padded input (t + i, band * g + j). On each axis
+    # the loop runs over the shorter of taps and outputs (bands) and adds a plane as long as the
+    # longer, planes in row-major (i, j) order
+    gp = np.zeros((len(win), c_in, h + 2 * pad_h, (bands - 1) * g + kb), dtype=np.result_type(a, gs))
+    wide = kb > bands  # the loop runs over bands, each plane whole, else over taps, planes g apart
+    jump, step = (g, 1) if wide else (1, g)
     grad_w = None
-    for b in range(len(xs)):
-        g = gs[b].reshape(len(w), -1)  # the GEMMs tensordot would make, without its overhead
-        gw = np.dot(g, win[b].transpose(1, 2, 0, 3, 4).reshape(g.shape[1], -1)).reshape(w.shape)
-        grad_w = gw if grad_w is None else grad_w + gw
-        cols = np.dot(wm.T, g).reshape(c_in, k_h, k_w, ho, wo)
-        cols = cols.swapaxes(1, 3) if k_h > ho else cols
-        cols = cols.swapaxes(2, 4) if k_w > wo else cols
-        n, m = cols.shape[3:]
-        for i in range(cols.shape[1]):
-            for j in range(cols.shape[2]):
-                gp[b, :, i : i + n, j : j + m] += cols[:, i, j]
-        del cols  # freed before the next example's window copy
+    for b in range(len(win)):
+        gb = gs[b].reshape(len(a), -1)
+        gw = np.dot(gb, win[b].transpose(1, 2, 0, 3, 4).reshape(gb.shape[1], -1))
+        gw = gw.reshape(c_out, g, c_in, k_h, kb)
+        fold = gw[:, 0, :, :, :k_w]  # row (o, p) holds kernel o's gradient shifted p taps
+        for p in range(1, g):
+            fold = fold + gw[:, p, :, :, p : p + k_w]
+        grad_w = fold if grad_w is None else grad_w + fold
+        planes = np.dot(a.T, gb).reshape(c_in, k_h, kb, ho, bands)
+        planes = planes.swapaxes(1, 3) if k_h > ho else planes
+        planes = planes.swapaxes(2, 4) if wide else planes
+        n, span = planes.shape[3], (planes.shape[4] - 1) * step + 1
+        for i in range(planes.shape[1]):
+            for j in range(planes.shape[2]):
+                gp[b, :, i : i + n, j * jump : j * jump + span : step] += planes[:, i, j]
+        del planes  # freed before the next example's window copy
     grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
     grad_b = None
     if params.bias is not None:

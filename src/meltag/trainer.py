@@ -219,12 +219,12 @@ def _parse_train_file(path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, value = line.partition(" ")
+        key, *value = line.split(None, 1)  # at the first run of spaces or tabs
         if not value:
-            raise ConfigInvalidError(f"{path}:{lineno}: want 'key value'")
+            raise ConfigInvalidError(f"{path}:{lineno}: want 'key value', separated by spaces or tabs")
         if key in fields:
             raise ConfigInvalidError(f"{path}:{lineno}: duplicate key {key!r}")
-        fields[key] = value.strip()
+        fields[key] = value[0]
     return fields
 
 

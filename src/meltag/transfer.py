@@ -197,6 +197,13 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(rows=tuple(rows), labels=labels)
 
 
+def _csv_record(fields) -> str:
+    """fields as one CSV record, quoted the way load_manifest's reader reads them back."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     labels: tuple[str, ...]
@@ -209,7 +216,7 @@ class PipelineReport:
 
     def as_text(self) -> str:
         lines = [
-            "labels: " + ",".join(self.labels),
+            "labels: " + _csv_record(self.labels),
             f"feature: {self.feature_key}",
             f"pca_components: {self.pca_components}",
             f"train_accuracy: {self.train_accuracy:.6f}",
@@ -218,16 +225,13 @@ class PipelineReport:
         lines += [f"warning: {warning}" for warning in self.warnings]
         lines.append("confusion (rows true, columns predicted):")
         for label, row in zip(self.labels, self.confusion):
-            lines.append(f"  {label}: " + " ".join(str(int(v)) for v in row))
+            lines.append(f"  {_csv_record([label])}: " + " ".join(str(int(v)) for v in row))
         return "\n".join(lines) + "\n"
 
     def confusion_csv(self) -> str:
         """The confusion matrix as CSV, labels quoted where the csv module needs it."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["", *self.labels])
-        writer.writerows([label, *(int(v) for v in row)] for label, row in zip(self.labels, self.confusion))
-        return out.getvalue()
+        rows = [[label, *(int(v) for v in row)] for label, row in zip(self.labels, self.confusion)]
+        return "".join(_csv_record(fields) + "\n" for fields in [["", *self.labels], *rows])
 
 
 def run_pipeline(

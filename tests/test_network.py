@@ -699,14 +699,14 @@ def _registry_digest(name):
 # Pinned on x86-64 with OpenBLAS; a BLAS with other kernels may round the
 # conv and dense products differently.
 TOY_GRADIENT_SHA256 = {
-    ("musicnn", "temporal_pooling", "infer", "float32"): "0c6b59a9281e492793c9a6cad3bccc21a11a471e9511e4925f90ed4bdca25cc9",
-    ("musicnn", "temporal_pooling", "infer", "float64"): "0a3188fbe6ed5771c0db87df13626fb58c426b57bdc3dd8502309d674d14d66f",
-    ("musicnn", "temporal_pooling", "train", "float32"): "e17d642020d9bd922b23e989378c64d3a3244dcd7c200a730dd000133b6e74f2",
-    ("musicnn", "temporal_pooling", "train", "float64"): "725582b1353a4ebba0cc03eb5465ce4d6a59108ffd66055192c7ca784742f258",
-    ("musicnn", "attention", "infer", "float32"): "edff6f4c7fb27b472dcd0fe39c3006d38281b9a4ac695149e44241dec111bd4a",
-    ("musicnn", "attention", "infer", "float64"): "e6b06b587f3ad613090aaf123ea8f71d8ff3458832600cff47b278e07210c1f3",
-    ("musicnn", "attention", "train", "float32"): "199577c8f438d04a5171047c9c2de08751692c807b21366c9cc4afe2bf5c8f7f",
-    ("musicnn", "attention", "train", "float64"): "978615ae27101180d2692b0769fbd25ad3d6f822a42560db23ca02c503691a2a",
+    ("musicnn", "temporal_pooling", "infer", "float32"): "5d3ef0f96625e11bfb8110b78d8419e4b686f2fcb04497ab97059e9b9166dc17",
+    ("musicnn", "temporal_pooling", "infer", "float64"): "6894341f194dfe2b132fe0cdfae3dcc4478cf9cabd5a4f1a140b3885c91512bf",
+    ("musicnn", "temporal_pooling", "train", "float32"): "8d7b0daeb5e872a702acfb54e672f044b08ab2d4faeec30df8373a5619c308cd",
+    ("musicnn", "temporal_pooling", "train", "float64"): "01fd31d4e9b291ce1032994ccb535863a6781c26bbe87c2a4f22da44cfa3448a",
+    ("musicnn", "attention", "infer", "float32"): "0b759797e8d6942b66bb03b3dcec5de58fe3c0944028c6d2bf5d2df5eb1981cf",
+    ("musicnn", "attention", "infer", "float64"): "532d12cdc44171396e113deab048be422cd284b2eed6e95df7a1cdce3c9d63a0",
+    ("musicnn", "attention", "train", "float32"): "8767bc34d051e703ba94cf1c83d8d56b9f4a733b93e6ac0d8b9c9682d0e49810",
+    ("musicnn", "attention", "train", "float64"): "269bfcba8f12f5ec64bb8ae8ab4f2d440c00dcbfccc36c3e51b1212575c68240",
     ("vgg", "temporal_pooling", "infer", "float32"): "3cdabe1cf833db19207465916f60712901207c0204e6b1b9b906dc780ed48fee",
     ("vgg", "temporal_pooling", "infer", "float64"): "5a22b4704a45362980121b00b22714768053756bb80f97fb536590411c716ece",
     ("vgg", "temporal_pooling", "train", "float32"): "5befedff74e8bf6f4be71664f4ffa5b1111a10180061a86dafcebb50e3e6ea46",
@@ -715,7 +715,7 @@ TOY_GRADIENT_SHA256 = {
 # OpenBLAS splits the registry models' products across threads in a way that
 # moves their bits, so these are pinned on one thread.
 REGISTRY_GRADIENT_SHA256 = {
-    "MTT_musicnn": "4508c44c7c6bf26b434dafcb24af42a50d0558a165a392d86fc16e9b54fce78a",
+    "MTT_musicnn": "92f1159a5ddc472d7cd0224170332547ea8b0a6dc08a054102cf160cfe688709",
     "MTT_vgg": "30bff34df16e3bde958a90b04490073925f661b3161c4252cfddefb095932567",
 }
 

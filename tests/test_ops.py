@@ -245,8 +245,19 @@ class TestConv2d:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k_w", [86, 38], ids=["timbral_0", "timbral_1"])
-    def test_backward_bits_equal_the_tap_axis_sum_at_registry_timbral_shapes(self, k_w, dtype):
-        self._assert_backward_bits(2, 1, 51, 187, 96, 7, k_w, 3, 0, dtype)
+    def test_backward_within_rounding_of_the_tap_axis_sum_at_registry_timbral_shapes(self, k_w, dtype):
+        # these kernels are lowered in bands (11 and 12 outputs), which sums the same terms in another
+        # order: within 2 K u sum|terms| (u = eps / 2) of the tap-axis sum, K terms to an entry
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(2, 1, 187, 96)).astype(dtype)
+        w = rng.normal(size=(51, 1, 7, k_w)).astype(dtype)
+        grad_out = rng.normal(size=(2, 51, 187, 97 - k_w)).astype(dtype)
+        got = ops.conv2d_backward(x, LayerParams("c", weights=w), grad_out, 3, 0)[:2]
+        want = conv2d_backward_tap_axis_sum(x, LayerParams("c", weights=w), grad_out, 3, 0)[:2]
+        bound = conv2d_backward_tap_axis_sum(abs(x), LayerParams("c", weights=abs(w)), abs(grad_out), 3, 0)[:2]
+        for g, v, a, k in zip(got, want, bound, (51 * 7 * k_w, 2 * 187 * (97 - k_w))):
+            assert g.shape == v.shape and g.dtype == v.dtype
+            assert (abs(g - v) <= k * np.finfo(dtype).eps * a).all()
 
     @staticmethod
     def _assert_backward_bits(batch, c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w, dtype):
@@ -344,10 +355,16 @@ TOY_CONFIGS = {
 class TestWidthMajorConv:
     @pytest.mark.parametrize("model_name", store.MODEL_NAMES)
     def test_registry_float32_equals_the_old_column_order(self, model_name):
-        cfg, _ = store.registry_get(model_name)
-        for name, got, want, _ in _conv_against_reference(cfg, np.float32, 40):
+        # musicnn's timbral kernels are lowered in bands of 11 and 12 outputs, which add the same terms
+        # in another order: those are held to the toy bound below, every im2col layer (vgg's) to its bytes
+        cfg = store.registry_get(model_name)[0]
+        for name, got, want, abs_sum in _conv_against_reference(cfg, np.float32, 40):
             assert got.shape == want.shape and got.dtype == want.dtype, name
-            assert got.tobytes() == want.tobytes(), name
+            if name.startswith("timbral"):
+                k = np.prod(cfg.layer_shapes()[name]["weights"][1:])
+                assert (abs(got - want) <= k * np.finfo(np.float32).eps * abs_sum).all(), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("toy", sorted(TOY_CONFIGS))
     @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -816,6 +833,7 @@ CONV_CASES = [
     ((10,), 1, 1, 5, 1, 3, 1, 1, 0),  # B >= 9 rows of one channel: pairwise sums differ
     ((3,), 2, 2, 4, 6, 5, 2, 2, 0),  # kernel taller than the output map
     ((3,), 2, 3, 2, 2, 3, 3, 1, 1),  # kernel taller and wider than the output map
+    ((3,), 2, 3, 3, 20, 3, 4, 1, 1),  # bands of 2 outputs, narrower than the map, the last a part band
 ]
 
 
@@ -990,9 +1008,8 @@ class TestLayoutContract:
             assert_same_bits(g, w)
 
 
-@pytest.fixture(scope="module")
-def registry_convs():
-    """(layer, padding, pool, input shape) of every registry conv layer's first forward call."""
+def _first_conv_calls(model_names):
+    """(layer, padding, pool, input shape) of each conv layer's first forward call in these models."""
     from meltag import network
 
     seen, calls = set(), []
@@ -1006,41 +1023,120 @@ def registry_convs():
 
     ops.conv2d_pool = spy
     try:
-        for name in ("MTT_musicnn", "MTT_vgg"):
-            model = store.load_registry_model(name)
+        for name in model_names:
+            seen.clear()
+            if name in TOY_CONFIGS:
+                model = network.build_model(TOY_CONFIGS[name], seed=5, mode="float64")
+            else:
+                model = store.load_registry_model(name)
             d = model.config.dsp
-            network.infer_batch(np.zeros((1, d.patch_frames, d.n_mels), np.float32), model)
+            network.infer_batch(np.zeros((1, d.patch_frames, d.n_mels), model.dtype), model)
     finally:
         ops.conv2d_pool = original
     return calls
 
 
-class TestWindowBlocks:
-    """conv2d_pool makes a large window matrix in blocks of whole output rows."""
+@pytest.fixture(scope="module")
+def musicnn_convs():
+    return _first_conv_calls(("MTT_musicnn",))
 
-    def test_only_timbral_1_is_split_and_into_at_least_three_blocks(self, registry_convs):
-        blocks = {}
-        for params, (pad_h, pad_w), _, (c_in, h, w) in registry_convs:
-            _, _, k_h, k_w = params.weights.shape
-            rows, cols = w + 2 * pad_w - k_w + 1, h + 2 * pad_h - k_h + 1
-            blocks[params.name] = -(-rows // ops._block_rows(c_in * k_h * k_w * rows * cols, rows))
-        assert blocks.pop("timbral_1") >= 3
-        assert set(blocks.values()) == {1}
 
-    @pytest.mark.parametrize("window_block", [3 << 18, 1 << 14], ids=["default", "every_layer_split"])
+@pytest.fixture(scope="module")
+def registry_convs(musicnn_convs):
+    return musicnn_convs + _first_conv_calls(("MTT_vgg",))
+
+
+@pytest.fixture(scope="module")
+def toy_convs():
+    return _first_conv_calls(("toy_musicnn", "toy_vgg"))
+
+
+def conv_grad_w_oracle(x, grad_out, k_h, k_w, pad_h, pad_w):
+    """Each kernel tap's gradient: its input under every output, times that output's gradient."""
+    c_in, h, wd = x.shape
+    xp = np.zeros((c_in, h + 2 * pad_h, wd + 2 * pad_w))
+    xp[:, pad_h : pad_h + h, pad_w : pad_w + wd] = x
+    gw = np.zeros((len(grad_out), c_in, k_h, k_w))
+    for co in range(len(grad_out)):
+        for ci in range(c_in):
+            for u in range(k_h):
+                for v in range(k_w):
+                    for i in range(grad_out.shape[1]):
+                        for j in range(grad_out.shape[2]):
+                            gw[co, ci, u, v] += grad_out[co, i, j] * xp[ci, i + u, j + v]
+    return gw
+
+
+def max_over_width(z):
+    return ops.pool_max_over_axis(z, 3)
+
+
+class TestBandedConv:
+    """Both conv ops make one GEMM per example from windows taken g outputs apart along the width."""
+
+    def test_band_widths(self, registry_convs, toy_convs):
+        bands = {}
+        for params, (_, pad_w), _, shape in registry_convs + toy_convs:
+            bands[params.name] = bands.get(params.name, ()) + (ops._band_weights(np.zeros(shape), params, pad_w)[1],)
+        assert bands.pop("timbral_0") == (11, 2) and bands.pop("timbral_1") == (12, 2)
+        assert set(bands.values()) == {(1,), (1, 1)}
+
+    @staticmethod
+    def _assert_matches_the_loop_oracles(layer, x, pad_h, pad_w, rng):
+        y = ops.conv2d(x, layer, pad_h, pad_w)
+        want = conv_oracle(x, layer.weights, layer.bias, pad_h, pad_w)
+        np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-10, err_msg=layer.name)
+        pooled = ops.conv2d_pool(x[None], layer, pad_h, pad_w, max_over_width)
+        np.testing.assert_allclose(pooled[0], want.max(axis=2), rtol=1e-10, atol=1e-10, err_msg=layer.name)
+        r = rng.normal(size=y.shape)
+        gx, gw, gb = ops.conv2d_backward(x, layer, r, pad_h, pad_w)
+        np.testing.assert_allclose(gx, conv_grad_x_oracle(layer.weights, r, *x.shape[1:], pad_h, pad_w),
+                                   rtol=1e-10, atol=1e-10, err_msg=layer.name)
+        np.testing.assert_allclose(gw, conv_grad_w_oracle(x, r, *layer.weights.shape[2:], pad_h, pad_w),
+                                   rtol=1e-10, atol=1e-10, err_msg=layer.name)
+        np.testing.assert_allclose(gb, r.sum(axis=(1, 2)), rtol=1e-12, err_msg=layer.name)
+
+    @pytest.mark.parametrize("source", ["registry", "toy"])
+    def test_every_conv_matches_the_loop_oracles_in_float64(self, request, source):
+        # two output and at most four input channels, two frames: the bands run along the width, kept whole
+        rng = np.random.default_rng(50)
+        for params, (pad_h, pad_w), _, (c_in, _, wd) in request.getfixturevalue(f"{source}_convs"):
+            w = params.weights[:2, :4].astype(np.float64)
+            b = params.bias[:2].astype(np.float64) + rng.normal(size=len(w))
+            layer = LayerParams(params.name, weights=rng.normal(size=w.shape) + w, bias=b)
+            self._assert_matches_the_loop_oracles(layer, rng.normal(size=(w.shape[1], 2, wd)), pad_h, pad_w, rng)
+
+    # c_in, c_out, h, w, k_h, k_w, pad_h, pad_w: bands of 2 and 3 outputs, fewer taps than bands, so
+    # the input gradient adds one tap plane per band tap, its entries g apart; W' = 19 and 34 end in
+    # a part band
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 20, 3, 4, 1, 1), (1, 2, 4, 40, 3, 7, 1, 0)])
+    def test_bands_narrower_than_the_map_match_the_loop_oracles(self, shape):
+        c_in, c_out, h, wd, k_h, k_w, pad_h, pad_w = shape
+        rng = np.random.default_rng(52)
+        layer = LayerParams("c", weights=rng.normal(size=(c_out, c_in, k_h, k_w)), bias=rng.normal(size=c_out))
+        _, g, wo = ops._band_weights(np.zeros((c_in, h, wd)), layer, pad_w)
+        assert g > 1 and k_w + g - 1 <= -(-wo // g) and wo % g
+        self._assert_matches_the_loop_oracles(layer, rng.normal(size=(c_in, h, wd)), pad_h, pad_w, rng)
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("batch", [1, 5])
-    def test_blocks_keep_the_bits_of_one_whole_product(self, registry_convs, monkeypatch, window_block, dtype,
-                                                        batch):
-        rng = np.random.default_rng(batch)
-        for params, (pad_h, pad_w), pool, shape in registry_convs:
-            params = LayerParams(params.name, params.weights.astype(dtype), params.bias.astype(dtype))
-            x = rng.normal(size=(batch,) + shape).astype(dtype)
-            for p in (None, pool):
-                monkeypatch.setattr(ops, "WINDOW_BLOCK", 1 << 40)
-                whole = ops.conv2d_pool(x, params, pad_h, pad_w, p)
-                monkeypatch.setattr(ops, "WINDOW_BLOCK", window_block)
-                assert_same_bits(ops.conv2d_pool(x, params, pad_h, pad_w, p), whole)
+    @pytest.mark.parametrize("source", ["musicnn", "toy"])  # the vgg blocks' g = 1 is TestBatchedOps' im2col
+    def test_batch_rows_are_single_examples_bit_for_bit(self, request, source, dtype):
+        rng = np.random.default_rng(51)
+        for params, (pad_h, pad_w), _, shape in request.getfixturevalue(f"{source}_convs"):
+            layer = LayerParams(params.name, params.weights.astype(dtype), params.bias.astype(dtype))
+            x = rng.normal(size=(3,) + shape).astype(dtype)
+            y = ops.conv2d(x, layer, pad_h, pad_w)
+            pooled = ops.conv2d_pool(x, layer, pad_h, pad_w, max_over_width)
+            assert_same_bits(pooled, max_over_width(y))
+            r = rng.normal(size=y.shape).astype(dtype)
+            gx, gw, gb = ops.conv2d_backward(x, layer, r, pad_h, pad_w)
+            singles = [ops.conv2d_backward(x[k], layer, r[k], pad_h, pad_w) for k in range(3)]
+            for k in range(3):
+                assert_same_bits(ops.conv2d(x[k], layer, pad_h, pad_w), y[k])
+                assert_same_bits(ops.conv2d_pool(x[k : k + 1], layer, pad_h, pad_w, max_over_width), pooled[k : k + 1])
+                assert_same_bits(singles[k][0], gx[k])
+            assert_same_bits(_index_order_sum([s[1] for s in singles]), gw)
+            assert_same_bits(_index_order_sum([s[2] for s in singles]), gb)
 
     def test_timbral_1_peak_at_batch_1(self, registry_convs):
         params, (pad_h, pad_w), pool, shape = next(c for c in registry_convs if c[0].name == "timbral_1")
@@ -1052,4 +1148,4 @@ class TestWindowBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 6 * 2**20, f"{peak / 2**20:.2f} MiB"  # 13.4 MiB as one block
+            assert peak < 6 * 2**20, f"{peak / 2**20:.2f} MiB"  # 13.4 MiB as one im2col matrix

@@ -489,7 +489,14 @@ class TestTrainCli:
         config = self._config_file(tmp_path, "epochs\n")
         code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert f"{config}:1: want 'key value', separated by spaces or tabs" in capsys.readouterr().err
+
+    def test_a_tab_separates_key_and_value(self, tmp_path, capsys):
+        """A tab-separated line used to fail with "want 'key value'"."""
+        config = self._config_file(tmp_path, "model\ttoy_vgg\ndataset_size \t 2\nepochs\t1\nbatch_size 2\n")
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "x.mcn")]) == 0
+        capsys.readouterr()
+        assert load_model(tmp_path / "x.mcn").config.family == "vgg"
 
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "x.mcn")])

@@ -486,6 +486,23 @@ class TestPipeline:
         rows = list(csv.reader(io.StringIO(report.confusion_csv())))
         assert rows == [["", *labels], [labels[0], "1", "0"], [labels[1], "1", "0"]]
 
+    def test_text_report_quotes_labels_as_the_manifest_reads_them(self, tmp_path):
+        """`labels: rock, classic,jazz` used to be ambiguous: one label or two?"""
+        path = tmp_path / "manifest.csv"
+        path.write_text('path,label,split\na.wav,"rock, classic",train\nb.wav,jazz,test\nc.wav,"say ""hi""",test\n')
+        labels = load_manifest(path).labels
+        report = PipelineReport(labels, "penultimate", 2, 1.0, 0.5, np.eye(3, dtype=int), ())
+        lines = report.as_text().splitlines()
+        assert lines[0] == 'labels: jazz,"rock, classic","say ""hi"""'
+        assert next(csv.reader([lines[0].removeprefix("labels: ")])) == list(labels)
+        assert lines[-2] == '  "rock, classic": 0 1 0'
+
+    def test_text_report_keeps_plain_labels_as_they_were(self):
+        report = PipelineReport(("high", "low", "mid"), "penultimate", 2, 1.0, 1.0, np.eye(3, dtype=int), ())
+        lines = report.as_text().splitlines()
+        assert lines[0] == "labels: high,low,mid"
+        assert lines[-3:] == ["  high: 1 0 0", "  low: 0 1 0", "  mid: 0 0 1"]
+
     def test_feature_key_override(self, tmp_path, wav_factory):
         manifest, model = _two_genre_setup(tmp_path, wav_factory)
         report = run_pipeline(manifest, model, feature_key="mean_pool", k=4, epochs=50)
