@@ -102,9 +102,12 @@ def _sum_examples(g: np.ndarray, example_ndim: int) -> np.ndarray:
     batched call returns exactly what adding up single-example calls gives.
     """
     rows = g.reshape((-1,) + g.shape[g.ndim - example_ndim :])
-    if len(rows) == 1:
-        return rows[0].copy()
-    return np.add.accumulate(rows, axis=0)[-1].copy()
+    if not len(rows):
+        return np.zeros(rows.shape[1:], rows.dtype)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 # --- convolution -----------------------------------------------------------
@@ -228,6 +231,8 @@ def conv2d_backward(x: np.ndarray, params: LayerParams, grad_out: np.ndarray, pa
                 gp[b, :, i : i + n, j * jump : j * jump + span : step] += planes[:, i, j]
         del planes  # freed before the next example's window copy
     grad_x = gp[:, :, pad_h : pad_h + h, pad_w : pad_w + wd].reshape(x.shape)
+    if grad_w is None:  # no example
+        grad_w = np.zeros(params.weights.shape, gp.dtype)
     grad_b = None
     if params.bias is not None:
         grad_b = _sum_examples(np.ascontiguousarray(grad_out).sum(axis=(-2, -1)), 1)

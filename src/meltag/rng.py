@@ -11,21 +11,14 @@ its absolute index alone. The state after k steps is state + k*GOLDEN, so any
 stretch of the stream can be mixed without walking the steps before it.
 `uniforms` and `normals` fill their output in chunks of _CHUNK draws (pairs
 for `normals`), whose few scratch arrays stay inside a core's L2 cache, with
-in-place ufuncs and no full-length temporaries. With two or more chunks they
-are shared out among one worker per CPU this process may run on (the calling
-thread and one more thread per extra CPU), each worker taking every workers-th chunk into
-scratch the calling thread allocated; numpy ufuncs release the GIL, so the
-workers run in parallel.
-Chunking and threads only decide where and when an element is computed, never
-its value: each transcendental runs on a contiguous float64 chunk, as a
-one-shot call would, and is then stored at the element's place in the output.
+in-place ufuncs and no full-length temporaries, so a draw's peak memory is its
+output plus a fixed scratch. Chunking only decides where an element is
+computed, never its value: each transcendental runs on a contiguous float64
+chunk, as a one-shot call would, and is then stored at the element's place in
+the output.
 """
 
 from __future__ import annotations
-
-import os
-import threading
-from collections.abc import Callable
 
 import numpy as np
 
@@ -76,44 +69,6 @@ def _draws53(base: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _over_chunks(n: int, n_scratch: int, fill: Callable[[int, int, list[np.ndarray]], None]) -> None:
-    """Call fill(lo, hi, scratch) on each _CHUNK-long span of range(n), on every usable CPU.
-
-    scratch is n_scratch float64 arrays of length hi - lo that fill may overwrite.
-    """
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(cpus, len(spans)))
-    # Allocated here, one array each: an array freed in a worker stays resident
-    # in that thread's malloc arena, and one large block would raise malloc's
-    # mmap threshold for the rest of the process. For the same reason fill
-    # casts by assignment rather than through ufuncs, which allocate buffers.
-    scratch = [[np.empty(min(n, _CHUNK)) for _ in range(n_scratch)] for _ in range(workers)]
-
-    errors: list[BaseException] = []
-
-    def run(w: int) -> None:
-        try:
-            for lo, hi in spans[w::workers]:
-                fill(lo, hi, [a[: hi - lo] for a in scratch[w]])
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    # plain threads: importing concurrent.futures costs about 9 ms on a 2-core
-    # Xeon VM, more than the threads save on a model of a few 100k weights
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _count(n: int) -> int:
     if n < 0:
         raise ConfigInvalidError(f"cannot draw a negative number of values: {n}")
@@ -137,12 +92,11 @@ class SplitMix64:
         """n doubles in [0, 1) with 53-bit resolution; the stream moves n steps."""
         out = np.empty(_count(n))
         start = self._state
-
-        def fill(lo: int, hi: int, scratch: list[np.ndarray]) -> None:
-            out[lo:hi] = _draws53(start + lo * _GOLDEN, *(a.view(np.uint64) for a in scratch))
+        z, t = (np.empty(min(n, _CHUNK), np.uint64) for _ in range(2))
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            out[lo:hi] = _draws53(start + lo * _GOLDEN, z[: hi - lo], t[: hi - lo])
             out[lo:hi] *= _ULP53
-
-        _over_chunks(n, 2, fill)
         self._state = (start + n * _GOLDEN) & _MASK
         return out
 
@@ -152,16 +106,22 @@ class SplitMix64:
         Pair i takes u1 from step i+1 and u2 from step pairs+i+1, and gives
         out[2i] = r*cos(theta) and out[2i+1] = r*sin(theta), with
         r = sqrt(-2 ln u1) and theta = 2 pi u2. Pairs are made in chunks of
-        _CHUNK, on every usable CPU when there are two or more chunks (see the
-        module docstring); log, sqrt, cos and sin each run on a contiguous
-        chunk, so every value has the bits of a one-shot evaluation.
+        _CHUNK (see the module docstring); log, sqrt, cos and sin each run on
+        a contiguous chunk, so every value has the bits of a one-shot
+        evaluation.
         """
         pairs = (_count(n) + 1) // 2
         out = np.empty(2 * pairs)
         start = self._state
-
-        def fill(lo: int, hi: int, scratch: list[np.ndarray]) -> None:
-            r, theta, trig, z, t = scratch[:3] + [a.view(np.uint64) for a in scratch[3:]]
+        # one array each, not one block: freeing a large block would raise
+        # malloc's mmap threshold for the rest of the process. For the same
+        # reason the draws are cast by assignment, not through ufuncs, which
+        # allocate buffers.
+        m = min(pairs, _CHUNK)
+        scratch = [np.empty(m) for _ in range(3)] + [np.empty(m, np.uint64) for _ in range(2)]
+        for lo in range(0, pairs, _CHUNK):
+            hi = min(lo + _CHUNK, pairs)
+            r, theta, trig, z, t = (a[: hi - lo] for a in scratch)
             r[...] = _draws53(start + lo * _GOLDEN, z, t)
             r += 1.0
             r *= _ULP53
@@ -173,8 +133,6 @@ class SplitMix64:
             theta *= _TWO_PI
             np.multiply(r, np.cos(theta, out=trig), out=out[2 * lo : 2 * hi : 2])
             np.multiply(r, np.sin(theta, out=trig), out=out[2 * lo + 1 : 2 * hi : 2])
-
-        _over_chunks(pairs, 5, fill)
         self._state = (start + 2 * pairs * _GOLDEN) & _MASK
         return out[:n]
 

@@ -918,6 +918,34 @@ class TestBatchedOps:
             singles.append(((ops.batchnorm_infer(x[b : b + 1], params)[0], sgx[0]), sgrads))
         _assert_rows_and_sums(((y, gx), param_grads), singles, shape[:1])
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_banded", "dense", "batchnorm_infer"])
+    def test_an_empty_batch_has_zero_parameter_gradients(self, dtype, op):
+        rng = np.random.default_rng(24)
+
+        def normal(*shape):
+            return rng.normal(size=shape).astype(dtype)
+
+        conv = LayerParams("c", weights=normal(3, 2, 3, 7 if op == "conv2d_banded" else 3), bias=normal(3))
+        fc = LayerParams("d", weights=normal(5, 4), bias=normal(5))
+        bn = LayerParams("bn", bn_gamma=normal(3), bn_beta=normal(3), bn_mean=normal(3),
+                         bn_var=rng.uniform(0.5, 2.0, 3).astype(dtype))
+        forward, backward, x, params = {
+            "conv2d": (ops.conv2d, ops.conv2d_backward, normal(0, 2, 5, 12), conv),
+            "conv2d_banded": (ops.conv2d, ops.conv2d_backward, normal(0, 2, 5, 12), conv),
+            "dense": (ops.dense, ops.dense_backward, normal(0, 4), fc),
+            "batchnorm_infer": (ops.batchnorm_infer, ops.batchnorm_infer_backward, normal(0, 3, 4, 5), bn),
+        }[op]
+        y = forward(x, params)
+        assert y.shape[0] == 0
+        gx, *grads = backward(x, params, np.zeros(y.shape, dtype))
+        assert_same_bits(gx, np.zeros(x.shape, dtype))
+        tensors = [params.weights, params.bias] if params.bn_gamma is None else [
+            params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var]
+        assert len(grads) == len(tensors)
+        for grad, tensor in zip(grads, tensors):
+            assert_same_bits(grad, np.zeros_like(tensor))
+
 
 # --- one layout contract for every op ------------------------------------------
 
