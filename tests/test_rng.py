@@ -57,8 +57,13 @@ def oracle_normals(state: int, n: int) -> tuple[np.ndarray, int]:
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["normals", "uniforms"])
-@pytest.mark.parametrize("n", COUNTS)
-def test_block_draws_match_the_one_shot_formula(kind, n):
+@pytest.mark.parametrize(
+    "n, chunk", [(n, None) for n in COUNTS] + [(n, c) for n in COUNTS[:-1] for c in (1, 3)]
+)
+def test_block_draws_match_the_one_shot_formula(kind, n, chunk, monkeypatch):
+    # chunking must not move a bit: also draw in chunks of 1 and 3 (None: rng._CHUNK)
+    if chunk is not None:
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
     oracle = {"normals": oracle_normals, "uniforms": oracle_uniforms}[kind]
     stream = SplitMix64(SEED)
     got = getattr(stream, kind)(n)
