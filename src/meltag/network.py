@@ -172,7 +172,8 @@ class ModelConfig:
         return h, w
 
     def layer_shapes(self) -> dict[str, dict[str, tuple[int, ...]]]:
-        """Ordered mapping of layer name -> tensor field -> shape."""
+        """Ordered mapping of layer name -> tensor field -> shape. Only output_dense has a bias: each
+        other layer feeds a batch norm or (attention_dense) a softmax, either of which cancels one."""
         m = self.dsp.n_mels
         out: dict[str, dict[str, tuple[int, ...]]] = {}
 
@@ -185,32 +186,28 @@ class ModelConfig:
                 kw = round(frac * m)
                 out[f"timbral_{i}"] = {
                     "weights": (self.timbral_channels, 1, 7, kw),
-                    "bias": (self.timbral_channels,),
                     **bn(self.timbral_channels),
                 }
             for i, length in enumerate(self.temporal_filter_lengths):
                 out[f"temporal_{i}"] = {
                     "weights": (self.temporal_channels, 1, length, 1),
-                    "bias": (self.temporal_channels,),
                     **bn(self.temporal_channels),
                 }
             c_in = self.frontend_channels
             for i in (1, 2, 3):
                 out[f"midend_{i}"] = {
                     "weights": (self.midend_channels, c_in, self.midend_kernel, 1),
-                    "bias": (self.midend_channels,),
                     **bn(self.midend_channels),
                 }
                 c_in = self.midend_channels
             stack = self.backend_stack_channels
             if self.backend == "attention":
-                out["attention_dense"] = {"weights": (1, stack), "bias": (1,)}
+                out["attention_dense"] = {"weights": (1, stack)}
                 pen_in = stack
             else:
                 pen_in = 2 * stack
             out["penultimate_dense"] = {
                 "weights": (self.penultimate_units, pen_in),
-                "bias": (self.penultimate_units,),
                 **bn(self.penultimate_units),
             }
             out["output_dense"] = {
@@ -222,7 +219,6 @@ class ModelConfig:
             for i, c_out in enumerate(self.vgg_block_channels, start=1):
                 out[f"block{i}"] = {
                     "weights": (c_out, c_in, 3, 3),
-                    "bias": (c_out,),
                     **bn(c_out),
                 }
                 c_in = c_out
@@ -271,15 +267,14 @@ class Model:
         expected = self.config.layer_shapes()
         if list(expected) != [p.name for p in self.params]:
             raise ShapeMismatchError("layer list does not match the config algebra")
-        for p in self.params:
+        for p in self.params:  # a tensor the config does not list is an error too
             p.validate()
-            for field_name, shape in expected[p.name].items():
-                t = getattr(p, field_name)
-                if t is None or t.shape != shape:
-                    got = None if t is None else t.shape
-                    raise ShapeMismatchError(
-                        f"{p.name}.{field_name}: expected shape {shape}, got {got}"
-                    )
+            for field_name in ops.TENSOR_FIELDS:
+                t, shape = getattr(p, field_name), expected[p.name].get(field_name)
+                got = None if t is None else t.shape
+                if got != shape:
+                    want = "no tensor" if shape is None else f"shape {shape}"
+                    raise ShapeMismatchError(f"{p.name}.{field_name}: expected {want}, got {got}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -333,7 +328,7 @@ def build_model(
     (std sqrt(2 / fan_in)) from a per-layer SplitMix64 stream keyed by the
     layer name, so the same seed always yields bit-identical parameters.
     Batch-norm starts at the identity (gamma 1, beta 0, mean 0, var 1);
-    biases start at zero.
+    output_dense's bias, the only one, starts at zero.
     """
     if init not in ("zeros", "random"):
         raise ConfigInvalidError(f"unknown init {init!r}")
@@ -435,9 +430,7 @@ def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) 
     grad = ops.relu_backward(cache.pop("relu_out"), grad)
     (grad,) = _bn_rule(grad, layer, cache, grads)
     p = layer.name + "."
-    grad_x, grads[p + "weights"], grads[p + "bias"] = ops.conv2d_backward(
-        cache.pop("x"), layer, grad, *cache["pad"]
-    )
+    grad_x, grads[p + "weights"], _ = ops.conv2d_backward(cache.pop("x"), layer, grad, *cache["pad"])
     return (grad_x,)
 
 
@@ -457,7 +450,9 @@ def _pools(pool, pool_backward, *args) -> tuple:
 
 def _dense_rule(grad: np.ndarray, layer: LayerParams, x: np.ndarray, grads: dict) -> tuple:
     p = layer.name + "."
-    grad_x, grads[p + "weights"], grads[p + "bias"] = ops.dense_backward(x, layer, grad)
+    grad_x, grads[p + "weights"], grad_b = ops.dense_backward(x, layer, grad)
+    if grad_b is not None:
+        grads[p + "bias"] = grad_b
     return (grad_x,)
 
 
@@ -505,7 +500,6 @@ def _attention_rule(grad_ctx: np.ndarray, att: LayerParams, saved: tuple, grads:
     grad_stack = np.einsum("bt,bn->bnt", weights, grad_ctx)
     grad_scores = ops.softmax_backward(weights, grad_weights, axis=1)
     grads[f"{att.name}.weights"] = np.einsum("bt,bnt->n", grad_scores, stack)[None, :]
-    grads[f"{att.name}.bias"] = np.atleast_1d(grad_scores.sum())
     return (grad_stack + np.einsum("bt,n->bnt", grad_scores, att.weights[0]),)
 
 
@@ -551,8 +545,8 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list | No
 
     if cfg.backend == "attention":
         att = model.layer("attention_dense")
-        # one affine score per frame, shared weights across time
-        scores = np.einsum("n,bnt->bt", att.weights[0], stack) + att.bias[0]
+        # one score per frame, shared weights across time (a bias would cancel in the softmax)
+        scores = np.einsum("n,bnt->bt", att.weights[0], stack)
         weights = ops.softmax_over_axis(scores, axis=1)  # [B, T]
         context = np.einsum("bt,bnt->bn", weights, stack)
         trace["attention_weights"] = weights

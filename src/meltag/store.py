@@ -187,8 +187,9 @@ def load_model(path: str | os.PathLike) -> Model:
                           bytes after the payload
     PayloadTruncatedError file shorter than the length field or the manifest's
                           tensor shapes promise
-    ShapeMismatchError    tensor list disagrees with the config algebra, or a
-                          layer fails validation (e.g. a negative bn_var)
+    ShapeMismatchError    tensor list disagrees with the config algebra (the
+                          first differing tensor line is named), or a layer
+                          fails validation (e.g. a negative bn_var)
     NumericFaultError     a tensor holds NaN or Inf
 
     A flipped payload bit that leaves every value finite and valid still
@@ -267,10 +268,13 @@ def load_model(path: str | os.PathLike) -> Model:
         for layer, tensors in config.layer_shapes().items()
         for field_name, shape in tensors.items()
     ]
-    if tensor_specs != expected:
-        raise ShapeMismatchError(
-            "manifest tensor list does not match the shapes implied by the config"
+    if tensor_specs != expected:  # name the first tensor line that differs
+        found, want = (
+            [f"'tensor {key} {_format(shape)}'" for key, shape in specs] + ["the end of the list"]
+            for specs in (tensor_specs, expected)
         )
+        i = next(i for i, pair in enumerate(zip(found, want)) if pair[0] != pair[1])
+        raise ShapeMismatchError(f"manifest tensor line {i + 1} is {found[i]}; the config implies {want[i]}")
     sizes = [math.prod(shape) for _, shape in expected]
     n_bytes = 4 * sum(sizes)
     if end + n_bytes > file_size:

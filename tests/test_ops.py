@@ -339,7 +339,7 @@ def _conv_against_reference(cfg, dtype, seed):
     shapes = cfg.layer_shapes()
     for name, in_shape, pad in pooled_conv_layers(cfg):
         w = rng.normal(size=shapes[name]["weights"]).astype(dtype)
-        b = rng.normal(size=shapes[name]["bias"]).astype(dtype)
+        b = rng.normal(size=shapes[name]["weights"][0]).astype(dtype)
         x = rng.normal(size=(2,) + in_shape).astype(dtype)
         y = ops.conv2d(x, LayerParams(name, weights=w, bias=b), *pad)
         yield name, y, gemm_reference(x, w, b, *pad), gemm_reference(abs(x), abs(w), abs(b), *pad)
@@ -1130,7 +1130,7 @@ class TestBandedConv:
         rng = np.random.default_rng(50)
         for params, (pad_h, pad_w), _, (c_in, _, wd) in request.getfixturevalue(f"{source}_convs"):
             w = params.weights[:2, :4].astype(np.float64)
-            b = params.bias[:2].astype(np.float64) + rng.normal(size=len(w))
+            b = rng.normal(size=len(w))
             layer = LayerParams(params.name, weights=rng.normal(size=w.shape) + w, bias=b)
             self._assert_matches_the_loop_oracles(layer, rng.normal(size=(w.shape[1], 2, wd)), pad_h, pad_w, rng)
 
@@ -1151,7 +1151,8 @@ class TestBandedConv:
     def test_batch_rows_are_single_examples_bit_for_bit(self, request, source, dtype):
         rng = np.random.default_rng(51)
         for params, (pad_h, pad_w), _, shape in request.getfixturevalue(f"{source}_convs"):
-            layer = LayerParams(params.name, params.weights.astype(dtype), params.bias.astype(dtype))
+            bias = rng.normal(size=len(params.weights)).astype(dtype)
+            layer = LayerParams(params.name, params.weights.astype(dtype), bias)
             x = rng.normal(size=(3,) + shape).astype(dtype)
             y = ops.conv2d(x, layer, pad_h, pad_w)
             pooled = ops.conv2d_pool(x, layer, pad_h, pad_w, max_over_width)

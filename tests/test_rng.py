@@ -90,11 +90,11 @@ def test_bad_counts_raise_and_leave_the_stream_alone(draw, count):
 
 # sha256 of the registry models' tensors, concatenated in model.tensors() order
 REGISTRY_SHA256 = {
-    "MTT_musicnn": "c7028f371a1aa9d2c82acbec89905e5ad775e992003ae4cb04e6e2154415458c",
-    "MSD_musicnn": "8b359ecb3feccb1e6275939dec63ad1612d56ea053d6f8e2e18ba97bafee9c64",
-    "MSD_musicnn_big": "946c7547bbf18638e515a3cd1234506b7fad07d8056eb7f646834d70aea4b7ee",
-    "MTT_vgg": "e492253b5492f9b538b258c2fd421663e599d880320eb441a074ef0fe3aea5f5",
-    "MSD_vgg": "c85c8da789093d93c94e885b4a47523ef73c21c222aa5c514beb9f29f6a9e6b6",
+    "MTT_musicnn": "09f2e583264631473016d6aa747ad19c9fa967846f070bbdead99b8dbd47be47",
+    "MSD_musicnn": "2f074968cf8e2dde0e8b3217a9786b1f3ea0f104207f38dcb2a0f114a77f6e68",
+    "MSD_musicnn_big": "40a768fb4bc63284f6baa31c7b9131c3325563f49a1eb49fade8296ec7b3c519",
+    "MTT_vgg": "61affd1e87af005685070e9bcf6497caaa6744eaa44370f67c6bdefa335ff8b9",
+    "MSD_vgg": "c946a627d17ffb3e8077e31da1a74525a928aaa631e7012b49a6a428de27f96e",
 }
 
 

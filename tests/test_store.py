@@ -1,6 +1,7 @@
 """Weight container round trips, tamper detection, and the model registry."""
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -331,8 +332,42 @@ class TestLoadErrors:
             idx = next(i for i, l in enumerate(lines) if l.startswith("tensor "))
             return lines[:idx] + lines[idx + 1 :]
 
-        with pytest.raises(ShapeMismatchError):
+        want = "line 1 is 'tensor input_bn.bn_beta 1'; the config implies 'tensor input_bn.bn_gamma 1'"
+        with pytest.raises(ShapeMismatchError, match=re.escape(want)):
             self._load_bytes(tmp_path, _rewrite_lines(blob, drop_tensor))
+
+    def test_missing_last_tensor_line(self, tmp_path, saved):
+        _, blob = saved
+        want = "line 46 is the end of the list; the config implies 'tensor output_dense.bias 2'"
+        with pytest.raises(ShapeMismatchError, match=re.escape(want)):
+            self._load_bytes(tmp_path, _rewrite_lines(blob, lambda lines: lines[:-1]))
+
+    @pytest.mark.parametrize(
+        "cfg_factory, line, found",
+        [(tiny_musicnn, 6, "timbral_0.bias 2"), (tiny_vgg, 2, "block1.bias 2")],
+        ids=["musicnn", "vgg"],
+    )
+    def test_a_file_saved_with_the_cancelled_biases_names_the_first(self, tmp_path, cfg_factory, line, found):
+        """Files saved before the biases that batch norm and softmax cancel were dropped list a bias
+        after every conv and hidden dense layer's weights: the error names the first such line."""
+        _, blob = _save_blob(tmp_path, build_model(cfg_factory(), seed=5))
+        added = []
+
+        def add_biases(lines):
+            out = []
+            for l in lines:
+                out.append(l)
+                parts = l.split()
+                if parts[0] == "tensor" and parts[1].endswith(".weights") and parts[1] != "output_dense.weights":
+                    out.append(f"tensor {parts[1].rsplit('.', 1)[0]}.bias {parts[2]}")
+                    added.append(int(parts[2]))
+            return out
+
+        old = _rewrite_lines(blob, add_biases)
+        old += bytes(4 * sum(added))  # the payload grows by the biases' bytes
+        want = f"tensor line {line} is 'tensor {found}'; the config implies 'tensor {found.split('.')[0]}.bn_gamma 2'"
+        with pytest.raises(ShapeMismatchError, match=re.escape(want)):
+            self._load_bytes(tmp_path, old)
 
     def test_invalid_config_values(self, tmp_path, saved):
         _, blob = saved
@@ -441,49 +476,41 @@ _MUSICNN_MANIFEST = """\
     tensor input_bn.bn_mean 1
     tensor input_bn.bn_var 1
     tensor timbral_0.weights 2 1 7 7
-    tensor timbral_0.bias 2
     tensor timbral_0.bn_gamma 2
     tensor timbral_0.bn_beta 2
     tensor timbral_0.bn_mean 2
     tensor timbral_0.bn_var 2
     tensor timbral_1.weights 2 1 7 3
-    tensor timbral_1.bias 2
     tensor timbral_1.bn_gamma 2
     tensor timbral_1.bn_beta 2
     tensor timbral_1.bn_mean 2
     tensor timbral_1.bn_var 2
     tensor temporal_0.weights 1 1 5 1
-    tensor temporal_0.bias 1
     tensor temporal_0.bn_gamma 1
     tensor temporal_0.bn_beta 1
     tensor temporal_0.bn_mean 1
     tensor temporal_0.bn_var 1
     tensor temporal_1.weights 1 1 3 1
-    tensor temporal_1.bias 1
     tensor temporal_1.bn_gamma 1
     tensor temporal_1.bn_beta 1
     tensor temporal_1.bn_mean 1
     tensor temporal_1.bn_var 1
     tensor midend_1.weights 3 6 7 1
-    tensor midend_1.bias 3
     tensor midend_1.bn_gamma 3
     tensor midend_1.bn_beta 3
     tensor midend_1.bn_mean 3
     tensor midend_1.bn_var 3
     tensor midend_2.weights 3 3 7 1
-    tensor midend_2.bias 3
     tensor midend_2.bn_gamma 3
     tensor midend_2.bn_beta 3
     tensor midend_2.bn_mean 3
     tensor midend_2.bn_var 3
     tensor midend_3.weights 3 3 7 1
-    tensor midend_3.bias 3
     tensor midend_3.bn_gamma 3
     tensor midend_3.bn_beta 3
     tensor midend_3.bn_mean 3
     tensor midend_3.bn_var 3
     tensor penultimate_dense.weights 4 30
-    tensor penultimate_dense.bias 4
     tensor penultimate_dense.bn_gamma 4
     tensor penultimate_dense.bn_beta 4
     tensor penultimate_dense.bn_mean 4
@@ -518,31 +545,26 @@ _VGG_MANIFEST = """\
     tag yes
     tag no
     tensor block1.weights 2 1 3 3
-    tensor block1.bias 2
     tensor block1.bn_gamma 2
     tensor block1.bn_beta 2
     tensor block1.bn_mean 2
     tensor block1.bn_var 2
     tensor block2.weights 2 2 3 3
-    tensor block2.bias 2
     tensor block2.bn_gamma 2
     tensor block2.bn_beta 2
     tensor block2.bn_mean 2
     tensor block2.bn_var 2
     tensor block3.weights 2 2 3 3
-    tensor block3.bias 2
     tensor block3.bn_gamma 2
     tensor block3.bn_beta 2
     tensor block3.bn_mean 2
     tensor block3.bn_var 2
     tensor block4.weights 2 2 3 3
-    tensor block4.bias 2
     tensor block4.bn_gamma 2
     tensor block4.bn_beta 2
     tensor block4.bn_mean 2
     tensor block4.bn_var 2
     tensor block5.weights 2 2 3 3
-    tensor block5.bias 2
     tensor block5.bn_gamma 2
     tensor block5.bn_beta 2
     tensor block5.bn_mean 2
