@@ -23,7 +23,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,15 +41,15 @@ from .errors import (
 
 @dataclass(frozen=True)
 class DspConfig:
-    """Front-end parameters. Defaults give ~3 s patches of 96 mel bands."""
+    """Front-end parameters. Defaults give ~3 s patches of 96 mel bands; fmin and log_offset are fixed."""
 
     sample_rate: int = 16000
     fft_size: int = 512
     hop_size: int = 256
     n_mels: int = 96
-    fmin: float = 0.0
+    fmin: ClassVar[float] = 0.0
     fmax: float = 8000.0
-    log_offset: float = 1e-6
+    log_offset: ClassVar[float] = 1e-6
     patch_frames: int = 187
     patch_hop_frames: int = 187
 
@@ -60,12 +60,10 @@ class DspConfig:
             raise ConfigInvalidError("fft_size and hop_size must be positive")
         if self.hop_size > self.fft_size:
             raise ConfigInvalidError("hop_size must not exceed fft_size")
-        if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
-            raise ConfigInvalidError("need 0 <= fmin < fmax <= sample_rate/2")
+        if not 0 < self.fmax <= self.sample_rate / 2:
+            raise ConfigInvalidError("need 0 < fmax <= sample_rate/2")
         if self.n_mels < 1:
             raise ConfigInvalidError("n_mels must be at least 1")
-        if self.log_offset <= 0:
-            raise ConfigInvalidError("log_offset must be positive")
         if self.patch_frames < 1 or self.patch_hop_frames < 1:
             raise ConfigInvalidError("patch_frames and patch_hop_frames must be >= 1")
 

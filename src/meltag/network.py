@@ -42,6 +42,7 @@ conv map inside conv2d_pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,8 +51,6 @@ from .dsp import DspConfig
 from .errors import ConfigInvalidError, ShapeMismatchError, TapeConsumedError
 from .ops import LayerParams
 from .rng import SplitMix64, layer_seed
-
-BN_EPSILON = 1e-5
 
 MUSICNN_POOLING_KEYS = frozenset(
     {"timbral", "temporal", "cnn1", "cnn2", "cnn3", "mean_pool", "max_pool", "penultimate", "output"}
@@ -71,18 +70,19 @@ def mode_dtype(mode: str) -> np.dtype:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters plus the DSP front-end config."""
+    """Architecture hyperparameters plus the DSP front-end config. The ClassVars, musicnn kernel
+    shapes that every released model shares, are constants that no manifest carries."""
 
     family: str = "musicnn"  # "musicnn" | "vgg"
     backend: str = "temporal_pooling"  # "temporal_pooling" | "attention"
     n_tags: int = 50
     dsp: DspConfig = field(default_factory=DspConfig)
-    timbral_filter_heights: tuple[float, ...] = (0.9, 0.4)
+    timbral_filter_heights: ClassVar[tuple[float, ...]] = (0.9, 0.4)
     timbral_channels: int = 51
     temporal_filter_lengths: tuple[int, ...] = (165, 129, 65, 33)
     temporal_channels: int = 8
     midend_channels: int = 64
-    midend_kernel: int = 7
+    midend_kernel: ClassVar[int] = 7
     penultimate_units: int = 200
     vgg_block_channels: tuple[int, ...] = (32, 64, 96, 128, 128)
     vgg_pool_shapes: tuple[tuple[int, int], ...] = ((2, 2), (2, 2), (2, 2), (4, 4), (6, 3))
@@ -103,14 +103,8 @@ class ModelConfig:
             self._validate_vgg()
 
     def _validate_musicnn(self) -> None:
-        m = self.dsp.n_mels
-        if not self.timbral_filter_heights:
-            raise ConfigInvalidError("need at least one timbral filter height")
-        for f in self.timbral_filter_heights:
-            if not 0.0 < f <= 1.0:
-                raise ConfigInvalidError(f"timbral height fraction {f} outside (0, 1]")
-            if round(f * m) < 1:
-                raise ConfigInvalidError(f"timbral fraction {f} rounds to an empty kernel")
+        if round(min(self.timbral_filter_heights) * self.dsp.n_mels) < 1:
+            raise ConfigInvalidError(f"n_mels {self.dsp.n_mels} is too few for the timbral kernels")
         if not self.temporal_filter_lengths:
             raise ConfigInvalidError("need at least one temporal filter length")
         for length in self.temporal_filter_lengths:
@@ -120,8 +114,6 @@ class ModelConfig:
             raise ConfigInvalidError("channel counts must be positive")
         if self.midend_channels < 1 or self.penultimate_units < 1:
             raise ConfigInvalidError("mid-end and penultimate sizes must be positive")
-        if self.midend_kernel < 1 or self.midend_kernel % 2 == 0:
-            raise ConfigInvalidError("midend_kernel must be odd (symmetric padding)")
 
     def _validate_vgg(self) -> None:
         if len(self.vgg_block_channels) != 5 or len(self.vgg_pool_shapes) != 5:
@@ -261,9 +253,9 @@ class Model:
             if "".join(tag.splitlines()) != tag:
                 raise ConfigInvalidError(f"tag {tag!r} holds a line break")
         self._by_name = {p.name: p for p in self.params}
-        self._check_shapes()
+        self.check_shapes()
 
-    def _check_shapes(self) -> None:
+    def check_shapes(self) -> None:
         expected = self.config.layer_shapes()
         if list(expected) != [p.name for p in self.params]:
             raise ShapeMismatchError("layer list does not match the config algebra")
@@ -366,12 +358,12 @@ def _record(tape: list | None, rule, inputs: tuple, layer, saved, out: np.ndarra
 def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -> np.ndarray:
     """Batch norm over a stacked [B, C, ...] tensor in either mode."""
     if bn_mode == "train":
-        out, mean, var, bn_cache = ops.batchnorm_train(xs, layer, BN_EPSILON)
+        out, mean, var, bn_cache = ops.batchnorm_train(xs, layer)
         cache["bn_cache"] = bn_cache
         cache["bn_stats"] = (mean, var)
         return out
     cache["bn_input"] = xs
-    return ops.batchnorm_infer(xs, layer, BN_EPSILON)
+    return ops.batchnorm_infer(xs, layer)
 
 
 def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
@@ -382,7 +374,7 @@ def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> 
         )
         return (grad_x,)
     grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"], grads[p + "bn_mean"], grads[p + "bn_var"] = (
-        ops.batchnorm_infer_backward(cache.pop("bn_input"), layer, grad, BN_EPSILON)
+        ops.batchnorm_infer_backward(cache.pop("bn_input"), layer, grad)
     )
     return (grad_x,)
 
@@ -407,7 +399,7 @@ def _conv_bn_relu_forward(
     With no cache (infer only) conv2d pools each example's map as it makes it."""
     if cache is None:
         first = pool and (lambda y: _pool_first(y, pool, layer.bn_gamma))
-        h = ops.batchnorm_infer(ops.conv2d_pool(xs, layer, pad_h, pad_w, first), layer, BN_EPSILON)
+        h = ops.batchnorm_infer(ops.conv2d_pool(xs, layer, pad_h, pad_w, first), layer)
         return ops.relu(h, out=h)
     y = ops.conv2d(xs, layer, pad_h, pad_w)
     cache.update(x=xs, pad=(pad_h, pad_w))
@@ -416,13 +408,13 @@ def _conv_bn_relu_forward(
         cache["relu_out"] = ops.relu(h, out=h)
         return h if pool is None else pool(h)
     cache["bn_input"] = y
-    h = ops.batchnorm_infer(_pool_first(y, pool, layer.bn_gamma), layer, BN_EPSILON)
+    h = ops.batchnorm_infer(_pool_first(y, pool, layer.bn_gamma), layer)
     return ops.relu(h, out=h)
 
 
 def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
     if "relu_out" not in cache:  # an infer forward pooled first: rebuild the full relu map
-        cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer, BN_EPSILON)
+        cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer)
         ops.relu(cache["relu_out"], out=cache["relu_out"])
     if cache["pool_backward"] is not None:
         grad = cache["pool_backward"](cache["relu_out"], grad)

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import NumericFaultError, ShapeMismatchError
 
 TENSOR_FIELDS = ("weights", "bias", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
+BN_EPSILON = 1e-5  # added to the variance by batch norm in both modes
 
 
 @dataclass
@@ -276,7 +277,7 @@ def _bn_shape(param: np.ndarray, ndim: int) -> np.ndarray:
     return param.reshape((1, -1) + (1,) * (ndim - 2))
 
 
-def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -> np.ndarray:
+def batchnorm_infer(x: np.ndarray, params: LayerParams) -> np.ndarray:
     """Normalize a [B, C, ...] batch with the stored running statistics."""
     if x.ndim < 2 or params.bn_gamma is None or params.bn_gamma.shape[0] != x.shape[1]:
         raise ShapeMismatchError(f"{params.name}: bn parameters do not match input {x.shape}")
@@ -284,7 +285,7 @@ def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -
         _bn_shape(t, x.ndim) for t in (params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var)
     )
     y = x - mean
-    y /= np.sqrt(var + epsilon)
+    y /= np.sqrt(var + BN_EPSILON)
     y *= gamma
     y += beta
     _ensure_finite(f"{params.name}: batchnorm_infer", y)
@@ -292,7 +293,7 @@ def batchnorm_infer(x: np.ndarray, params: LayerParams, epsilon: float = 1e-5) -
 
 
 def batchnorm_infer_backward(
-    x: np.ndarray, params: LayerParams, grad_out: np.ndarray, epsilon: float = 1e-5
+    x: np.ndarray, params: LayerParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of batchnorm_infer wrt (x, gamma, beta, mean, var).
 
@@ -310,7 +311,7 @@ def batchnorm_infer_backward(
     gamma = _bn_shape(params.bn_gamma, x.ndim)
     mean = _bn_shape(params.bn_mean, x.ndim)
     var = _bn_shape(params.bn_var, x.ndim)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xc = x - mean
     grad_x = grad_out * gamma * inv
     grad_gamma = _sum_examples((grad_out * xc * inv).sum(axis=axes), 1)
@@ -321,7 +322,7 @@ def batchnorm_infer_backward(
 
 
 def batchnorm_train(
-    batch: np.ndarray, params: LayerParams, epsilon: float = 1e-5
+    batch: np.ndarray, params: LayerParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Normalize a [B, C, ...] batch with its own statistics.
 
@@ -338,7 +339,7 @@ def batchnorm_train(
     xhat = batch - _bn_shape(mean, batch.ndim)  # centred once: np.var's own arithmetic
     y = np.multiply(xhat, xhat)
     var = y.mean(axis=axes)
-    inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim) + epsilon)
+    inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim) + BN_EPSILON)
     xhat *= inv
     np.multiply(xhat, _bn_shape(params.bn_gamma, batch.ndim), out=y)
     y += _bn_shape(params.bn_beta, batch.ndim)

@@ -167,7 +167,8 @@ def check_output_path(path, flag: str) -> None:
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
-    """Write config, tags, and every tensor as little-endian float32."""
+    """Check every tensor against the config, then write config, tags and tensors as little-endian float32."""
+    model.check_shapes()
     tensors = model.tensors()
     lines = [f"format_version {FORMAT_VERSION}", *field_lines(model.config)]
     lines += [f"tag {tag}" for tag in model.tags]

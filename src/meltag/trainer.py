@@ -168,7 +168,6 @@ def toy_dsp_config() -> DspConfig:
         fft_size=128,
         hop_size=64,
         n_mels=12,
-        fmin=0.0,
         fmax=2000.0,
         patch_frames=16,
         patch_hop_frames=16,

@@ -134,7 +134,6 @@ def tiny_dsp(patch_frames: int = 8, n_mels: int = 8) -> DspConfig:
         fft_size=64,
         hop_size=32,
         n_mels=n_mels,
-        fmin=0.0,
         fmax=1000.0,
         patch_frames=patch_frames,
         patch_hop_frames=patch_frames,

@@ -460,6 +460,4 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError):
             DspConfig(hop_size=1024)  # larger than fft_size
         with pytest.raises(ConfigInvalidError):
-            DspConfig(fmin=5000.0, fmax=4000.0)
-        with pytest.raises(ConfigInvalidError):
-            DspConfig(log_offset=0.0)
+            DspConfig(fmax=9000.0)  # above the 8 kHz Nyquist frequency

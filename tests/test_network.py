@@ -123,15 +123,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalidError):
             tiny_musicnn(temporal_filter_lengths=(4,))
 
-    def test_timbral_fraction_out_of_range(self):
-        with pytest.raises(ConfigInvalidError):
-            tiny_musicnn(timbral_filter_heights=(1.5,))
-        with pytest.raises(ConfigInvalidError):
-            tiny_musicnn(timbral_filter_heights=(0.0,))
-
-    def test_even_midend_kernel(self):
-        with pytest.raises(ConfigInvalidError):
-            tiny_musicnn(midend_kernel=6)
+    def test_too_few_mels_for_the_timbral_kernels(self):
+        with pytest.raises(ConfigInvalidError, match="timbral"):
+            tiny_musicnn(dsp=tiny_dsp(n_mels=1))
 
     def test_nonpositive_tags(self):
         with pytest.raises(ConfigInvalidError):
@@ -580,7 +574,7 @@ class TestPoolFirst:
             bn_var=rng.uniform(0.2, 2.0, c).astype(dtype),
         )
         x = rng.normal(size=x_shape).astype(dtype)
-        full = ops.batchnorm_infer(ops.conv2d(x, layer, *pad), layer, network.BN_EPSILON)
+        full = ops.batchnorm_infer(ops.conv2d(x, layer, *pad), layer)
         want = pool(ops.relu(full))
         got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {} if tape == "tape" else None, pool)
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -433,7 +433,7 @@ class TestBatchNorm:
         params = LayerParams(
             "bn", bn_gamma=np.ones(3), bn_beta=np.zeros(3), bn_mean=np.zeros(3), bn_var=np.ones(3)
         )
-        np.testing.assert_allclose(ops.batchnorm_infer(x, params, 1e-5), x / np.sqrt(1 + 1e-5))
+        np.testing.assert_allclose(ops.batchnorm_infer(x, params), x / np.sqrt(1 + ops.BN_EPSILON))
 
     def test_infer_matches_direct_formula(self):
         rng = np.random.default_rng(9)
@@ -445,10 +445,10 @@ class TestBatchNorm:
             bn_mean=rng.normal(size=2),
             bn_var=rng.uniform(0.1, 2.0, 2),
         )
-        y = ops.batchnorm_infer(x, params, 1e-3)
+        y = ops.batchnorm_infer(x, params)
         for c in range(2):
             for i in range(3):
-                ref = (x[i, c] - params.bn_mean[c]) / np.sqrt(params.bn_var[c] + 1e-3)
+                ref = (x[i, c] - params.bn_mean[c]) / np.sqrt(params.bn_var[c] + ops.BN_EPSILON)
                 ref = ref * params.bn_gamma[c] + params.bn_beta[c]
                 assert abs(y[i, c] - ref) < 1e-12
 
@@ -458,7 +458,7 @@ class TestBatchNorm:
         params = LayerParams(
             "bn", bn_gamma=np.ones(4), bn_beta=np.zeros(4), bn_mean=np.zeros(4), bn_var=np.ones(4)
         )
-        y, mean, var, _ = ops.batchnorm_train(batch, params, 1e-8)
+        y, mean, var, _ = ops.batchnorm_train(batch, params)
         np.testing.assert_allclose(y.mean(axis=(0, 2)), 0.0, atol=1e-6)
         np.testing.assert_allclose(y.var(axis=(0, 2)), 1.0, atol=1e-4)
         np.testing.assert_allclose(mean, batch.mean(axis=(0, 2)), atol=1e-12)
@@ -472,8 +472,8 @@ class TestBatchNorm:
             params = LayerParams(
                 "bn", bn_gamma=t["g"], bn_beta=t["be"], bn_mean=t["m"], bn_var=t["v"]
             )
-            y = ops.batchnorm_infer(t["x"], params, 1e-3)
-            gx, gg, gb, gm, gv = ops.batchnorm_infer_backward(t["x"], params, r, 1e-3)
+            y = ops.batchnorm_infer(t["x"], params)
+            gx, gg, gb, gm, gv = ops.batchnorm_infer_backward(t["x"], params, r)
             return float((y * r).sum()), {"x": gx, "g": gg, "be": gb, "m": gm, "v": gv}
 
         inputs = {
@@ -498,7 +498,7 @@ class TestBatchNorm:
                 bn_mean=np.zeros(2),
                 bn_var=np.ones(2),
             )
-            y, _, _, cache = ops.batchnorm_train(t["x"], params, 1e-3)
+            y, _, _, cache = ops.batchnorm_train(t["x"], params)
             gx, gg, gb = ops.batchnorm_train_backward(params, cache, r)
             return float((y * r).sum()), {"x": gx, "g": gg, "be": gb}
 

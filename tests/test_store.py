@@ -2,14 +2,15 @@
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meltag import store
+from meltag import store, trainer
+from meltag.dsp import DspConfig
 from meltag.errors import (
     BadMagicError,
     ConfigInvalidError,
@@ -20,7 +21,7 @@ from meltag.errors import (
     ShapeMismatchError,
     UnknownModelError,
 )
-from meltag.network import build_model, forward_batch
+from meltag.network import ModelConfig, build_model, forward_batch
 from meltag.store import (
     MODEL_NAMES,
     field_lines,
@@ -134,6 +135,21 @@ class TestRegistry:
             a.layer("midend_1").weights, b.layer("midend_1").weights
         )
 
+    def test_every_config_field_takes_two_values_over_the_shipped_configs(self):
+        """A setting that the registry and toy configs all leave at one value is a ClassVar constant."""
+        configs = [registry_get(name)[0] for name in MODEL_NAMES] + [
+            trainer.toy_model_config("musicnn", "temporal_pooling"),
+            trainer.toy_model_config("musicnn", "attention"),
+            trainer.toy_model_config("vgg"),
+        ]
+        one_valued = [
+            f"{cls.__name__}.{f.name}"
+            for cls, part in ((ModelConfig, lambda c: c), (DspConfig, lambda c: c.dsp))
+            for f in fields(cls)
+            if len({getattr(part(c), f.name) for c in configs}) < 2
+        ]
+        assert one_valued == []
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -181,6 +197,14 @@ class TestRoundTrip:
         assert manifest.splitlines()[0] == "format_version 1"
         n_payload = sum(t.size for t in model.tensors().values()) * 4
         assert len(blob) == end + n_payload
+
+    def test_a_tensor_the_config_does_not_list_is_refused_before_the_file_is_opened(self, tmp_path):
+        model = build_model(tiny_vgg(), seed=1)
+        model.layer("block1").bias = np.ones(2, np.float32)
+        path = tmp_path / "model.mcn"
+        with pytest.raises(ShapeMismatchError, match=r"block1\.bias"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_tag_text_round_trips_verbatim(self, tmp_path):
         tags = ("no vocals", "hip-hop")
@@ -276,16 +300,22 @@ class TestLoadErrors:
         with pytest.raises(ManifestCorruptError):
             self._load_bytes(tmp_path, bad)
 
-    def test_unknown_field(self, tmp_path, saved):
-        """A misspelt field next to the real one must not be dropped silently."""
+    @pytest.mark.parametrize(
+        "line",
+        ["midend_chanels 9", "fmin 0.0", "log_offset 1e-06", "timbral_filter_heights 0.9 0.4", "midend_kernel 7"],
+    )
+    def test_unknown_field(self, tmp_path, saved, line):
+        """A misspelt field next to the real one must not be dropped silently, nor the lines of
+        fmin, log_offset, timbral_filter_heights and midend_kernel that files saved before those
+        became constants carry."""
         _, blob = saved
 
-        def add_typo(lines):
-            idx = next(i for i, l in enumerate(lines) if l.startswith("midend_kernel "))
-            return lines[: idx + 1] + ["midend_kernal 9"] + lines[idx + 1 :]
+        def add_line(lines):
+            idx = next(i for i, l in enumerate(lines) if l.startswith("midend_channels "))
+            return lines[: idx + 1] + [line] + lines[idx + 1 :]
 
-        with pytest.raises(ManifestCorruptError, match="midend_kernal"):
-            self._load_bytes(tmp_path, _rewrite_lines(blob, add_typo))
+        with pytest.raises(ManifestCorruptError, match=f"unknown manifest field.*{line.split()[0]}"):
+            self._load_bytes(tmp_path, _rewrite_lines(blob, add_line))
 
     def test_unsupported_format_version(self, tmp_path, saved):
         _, blob = saved
@@ -434,7 +464,7 @@ class TestLoadErrors:
 
     @pytest.mark.parametrize(
         "line",
-        ["vgg_pool_shapes 2x2x2 2x2 2x2 4x4 6x3", "vgg_pool_shapes 2 2x2 2x2 4x4 6x3", "n_tags 2.0", "fmin zero"],
+        ["vgg_pool_shapes 2x2x2 2x2 2x2 4x4 6x3", "vgg_pool_shapes 2 2x2 2x2 4x4 6x3", "n_tags 2.0", "fmax zero"],
     )
     def test_unparseable_config_value(self, tmp_path, saved, line):
         _, blob = saved
@@ -455,17 +485,13 @@ _MUSICNN_MANIFEST = """\
     fft_size 64
     hop_size 32
     n_mels 8
-    fmin 0.0
     fmax 1000.0
-    log_offset 1e-06
     patch_frames 8
     patch_hop_frames 8
-    timbral_filter_heights 0.9 0.4
     timbral_channels 2
     temporal_filter_lengths 5 3
     temporal_channels 1
     midend_channels 3
-    midend_kernel 7
     penultimate_units 4
     vgg_block_channels 32 64 96 128 128
     vgg_pool_shapes 2x2 2x2 2x2 4x4 6x3
@@ -528,17 +554,13 @@ _VGG_MANIFEST = """\
     fft_size 64
     hop_size 32
     n_mels 8
-    fmin 0.0
     fmax 1000.0
-    log_offset 1e-06
     patch_frames 8
     patch_hop_frames 8
-    timbral_filter_heights 0.9 0.4
     timbral_channels 51
     temporal_filter_lengths 165 129 65 33
     temporal_channels 8
     midend_channels 64
-    midend_kernel 7
     penultimate_units 200
     vgg_block_channels 2 2 2 2 2
     vgg_pool_shapes 2x2 2x2 1x1 1x2 2x1
