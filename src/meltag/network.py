@@ -1,5 +1,11 @@
 """Model configuration, parameter allocation, and the two forward graphs.
 
+Every model, built, loaded or cast, holds its parameters in one flat C-order
+buffer in `tensor_specs` order (the `.mcn` payload's order too). Each tensor
+is a view of it on a frozen `LayerParams`, so it can only be written into
+(`Model.set_tensors`, `model.layer(name).<field>`, the trainer's in-place
+updates). `Model.tensors()` is a copy.
+
 The musicnn family stacks a musically motivated front end (tall "timbral"
 kernels max-pooled over frequency, wide "temporal" kernels over an energy
 envelope), a residual mid end over time, and either a temporal-pooling or an
@@ -41,6 +47,7 @@ conv map inside conv2d_pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -229,20 +236,33 @@ class ModelConfig:
         return MUSICNN_POOLING_KEYS
 
 
-@dataclass
+def tensor_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) of every parameter tensor, keyed '<layer>.<field>', in buffer and file order."""
+    shapes = config.layer_shapes()
+    return [(f"{name}.{f}", shape) for name in shapes for f, shape in shapes[name].items()]
+
+
+def _cut(buffer: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Key -> C-order view of a flat buffer, in tensor_specs order."""
+    views, pos = {}, 0
+    for key, shape in tensor_specs(config):
+        views[key] = buffer[pos : pos + math.prod(shape)].reshape(shape)
+        pos += views[key].size
+    return views
+
+
+@dataclass(frozen=True)
 class Model:
-    """Architecture config, ordered parameters, and a tag vocabulary."""
+    """Config, one flat parameter buffer and a tag vocabulary, frozen so that no field can come apart
+    from the views: each tensor is a C-order view of `buffer`, on a frozen LayerParams (see above)."""
 
     config: ModelConfig
-    params: list[LayerParams]
+    buffer: np.ndarray  # 1-D, C order, in the mode's dtype
     tags: tuple[str, ...]
     mode: str = "float32"  # see mode_dtype
 
     def __post_init__(self):
-        mode_dtype(self.mode)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ConfigInvalidError("duplicate layer names")
+        dtype = mode_dtype(self.mode)
         if len(self.tags) != self.config.n_tags:
             raise ConfigInvalidError(
                 f"{len(self.tags)} tags for a {self.config.n_tags}-tag model"
@@ -252,21 +272,18 @@ class Model:
         for tag in self.tags:  # a line break would split the tag's line of a saved manifest
             if "".join(tag.splitlines()) != tag:
                 raise ConfigInvalidError(f"tag {tag!r} holds a line break")
-        self._by_name = {p.name: p for p in self.params}
-        self.check_shapes()
-
-    def check_shapes(self) -> None:
-        expected = self.config.layer_shapes()
-        if list(expected) != [p.name for p in self.params]:
-            raise ShapeMismatchError("layer list does not match the config algebra")
-        for p in self.params:  # a tensor the config does not list is an error too
+        b, size = self.buffer, sum(math.prod(shape) for _, shape in tensor_specs(self.config))
+        if b.dtype != dtype or b.shape != (size,) or not b.flags.c_contiguous:
+            raise ShapeMismatchError(f"buffer {b.dtype} {b.shape}: the config needs a C-order {dtype} ({size},)")
+        views = _cut(b, self.config)
+        layers = {
+            name: LayerParams(name, **{f: views[f"{name}.{f}"] for f in tensors})
+            for name, tensors in self.config.layer_shapes().items()
+        }
+        for p in layers.values():
             p.validate()
-            for field_name in ops.TENSOR_FIELDS:
-                t, shape = getattr(p, field_name), expected[p.name].get(field_name)
-                got = None if t is None else t.shape
-                if got != shape:
-                    want = "no tensor" if shape is None else f"shape {shape}"
-                    raise ShapeMismatchError(f"{p.name}.{field_name}: expected {want}, got {got}")
+        object.__setattr__(self, "_views", views)  # set once, here: the dataclass is frozen
+        object.__setattr__(self, "_by_name", layers)
 
     @property
     def dtype(self) -> np.dtype:
@@ -276,35 +293,29 @@ class Model:
         return self._by_name[name]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for p in self.params:
-            out.update(p.tensors())
-        return out
+        """A snapshot: a copy of every tensor, keyed '<layer>.<field>', in buffer order."""
+        return {key: view.copy() for key, view in self._views.items()}
 
     def set_tensors(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite named parameter tensors with C-order copies (shapes must match)."""
-        dtype = self.dtype
+        """Copy named tensors into their views of the buffer (shapes must match)."""
         for key, value in values.items():
-            layer_name, field_name = key.rsplit(".", 1)
-            current = getattr(self._by_name[layer_name], field_name)
-            if current is None or current.shape != value.shape:
-                raise ShapeMismatchError(f"cannot assign {key} with shape {value.shape}")
-            setattr(self._by_name[layer_name], field_name, value.astype(dtype, order="C"))
+            view = self._views.get(key)
+            if view is None or view.shape != value.shape:
+                want = "no such tensor" if view is None else f"shape {view.shape}"
+                raise ShapeMismatchError(f"cannot assign {key!r} with shape {value.shape}: the model has {want}")
+            view[...] = value
+
+    def flat(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Gradients keyed as tensors() as one float64 array in buffer order; a missing key is zero."""
+        out = np.zeros(self.buffer.size)
+        views = _cut(out, self.config)
+        for key, g in grads.items():
+            views[key][...] = g
+        return out
 
     def astype(self, mode: str) -> "Model":
-        """Copy with every tensor cast to the requested numeric mode."""
-        dtype = mode_dtype(mode)
-        params = [
-            LayerParams(
-                name=p.name,
-                **{
-                    f: (None if getattr(p, f) is None else getattr(p, f).astype(dtype))
-                    for f in ops.TENSOR_FIELDS
-                },
-            )
-            for p in self.params
-        ]
-        return Model(config=self.config, params=params, tags=self.tags, mode=mode)
+        """Copy with the buffer cast to the requested numeric mode (a copy also for the same mode)."""
+        return Model(self.config, self.buffer.astype(mode_dtype(mode)), self.tags, mode)
 
 
 def build_model(
@@ -324,25 +335,21 @@ def build_model(
     """
     if init not in ("zeros", "random"):
         raise ConfigInvalidError(f"unknown init {init!r}")
-    dtype = mode_dtype(mode)
-    params = []
-    for name, tensors in config.layer_shapes().items():
-        kwargs: dict[str, np.ndarray] = {}
-        for field_name, shape in tensors.items():
-            if field_name == "weights" and init == "random":
-                rng = SplitMix64(layer_seed(seed, name))
-                fan_in = int(np.prod(shape[1:]))
-                values = rng.normals(int(np.prod(shape)))
-                values *= np.sqrt(2.0 / fan_in)
-                kwargs[field_name] = values.reshape(shape).astype(dtype)
-            elif field_name in ("bn_gamma", "bn_var"):
-                kwargs[field_name] = np.ones(shape, dtype=dtype)
-            else:  # zero weights, biases, bn_beta, bn_mean
-                kwargs[field_name] = np.zeros(shape, dtype=dtype)
-        params.append(LayerParams(name=name, **kwargs))
     if tags is None:
         tags = tuple(f"tag_{i:02d}" for i in range(config.n_tags))
-    return Model(config=config, params=params, tags=tuple(tags), mode=mode)
+    size = sum(math.prod(shape) for _, shape in tensor_specs(config))
+    model = Model(config, np.zeros(size, mode_dtype(mode)), tuple(tags), mode)
+    for layer in model._by_name.values():
+        if layer.weights is not None and init == "random":
+            rng = SplitMix64(layer_seed(seed, layer.name))
+            values = rng.normals(layer.weights.size)
+            values *= np.sqrt(2.0 / math.prod(layer.weights.shape[1:]))  # fan-in
+            layer.weights[...] = values.reshape(layer.weights.shape)
+            del values  # before the next layer's draw
+        if layer.bn_gamma is not None:
+            layer.bn_gamma[...] = 1.0
+            layer.bn_var[...] = 1.0
+    return model
 
 
 # --- the tape: forward steps and their backward rules --------------------------

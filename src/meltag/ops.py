@@ -50,13 +50,14 @@ TENSOR_FIELDS = ("weights", "bias", "bn_gamma", "bn_beta", "bn_mean", "bn_var")
 BN_EPSILON = 1e-5  # added to the variance by batch norm in both modes
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
     """Named parameter bundle for one layer.
 
     Convolution/dense layers carry weights (+ optional bias); layers with an
     attached batch norm also carry the four bn tensors. A pure normalization
-    layer carries only the bn tensors.
+    layer carries only the bn tensors. Frozen: a field cannot be rebound, only
+    written into.
     """
 
     name: str

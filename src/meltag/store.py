@@ -3,11 +3,12 @@
 The on-disk format is deliberately boring: a magic string, a fixed-width
 decimal manifest length, a line-oriented UTF-8 manifest describing the config
 (one line per `ModelConfig`/`DspConfig` field) and every tensor in order, then
-all tensor payloads concatenated as little-endian float32. The loader rejects
-truncated or overlong files, a corrupt manifest, tensors that disagree with
-the config, non-finite values and invalid layers before it returns a model. A
-flipped payload bit that leaves a valid finite value needs a checksum, which
-format version 1 does not carry.
+the model's one parameter buffer (see `network`) as little-endian float32,
+written in one call and read back as the loaded model's buffer. The loader
+rejects truncated or overlong files, a corrupt manifest, tensors that disagree
+with the config, non-finite values and invalid layers before it returns a
+model. A flipped payload bit that leaves a valid finite value needs a
+checksum, which format version 1 does not carry.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownModelError,
 )
-from .network import Model, ModelConfig, build_model
-from .ops import LayerParams
+from .network import Model, ModelConfig, build_model, tensor_specs
 from .rng import fnv1a64
 
 MAGIC = b"MCN1"
@@ -167,17 +167,14 @@ def check_output_path(path, flag: str) -> None:
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
-    """Check every tensor against the config, then write config, tags and tensors as little-endian float32."""
-    model.check_shapes()
-    tensors = model.tensors()
+    """Write config, tags and the parameter buffer, as little-endian float32."""
     lines = [f"format_version {FORMAT_VERSION}", *field_lines(model.config)]
     lines += [f"tag {tag}" for tag in model.tags]
-    lines += [f"tensor {key} {_format(t.shape)}" for key, t in tensors.items()]
+    lines += [f"tensor {key} {_format(shape)}" for key, shape in tensor_specs(model.config)]
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC + f"{len(manifest):0{_LEN_DIGITS}d}".encode("ascii") + manifest)
-        for tensor in tensors.values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+        fh.write(model.buffer.astype("<f4", copy=False))
 
 
 def load_model(path: str | os.PathLike) -> Model:
@@ -196,9 +193,9 @@ def load_model(path: str | os.PathLike) -> Model:
     A flipped payload bit that leaves every value finite and valid still
     loads; only a checksum (a v2 manifest) could catch it.
 
-    The payload is read once into one float32 buffer and every tensor is a
-    writable view of it, so the weights are held once (a byteswap copy is
-    made only on a big-endian host).
+    The payload is read once into one float32 buffer that becomes the
+    model's buffer, so the weights are held once (a byteswap copy is made
+    only on a big-endian host).
     """
     start = len(MAGIC) + _LEN_DIGITS
     with open(path, "rb") as fh:  # the whole file, its payload read once into one aligned buffer
@@ -228,7 +225,7 @@ def load_model(path: str | os.PathLike) -> Model:
 
     fields: dict[str, str] = {}
     tags: list[str] = []
-    tensor_specs: list[tuple[str, tuple[int, ...]]] = []
+    listed: list[tuple[str, tuple[int, ...]]] = []
     for lineno, line in enumerate(manifest.splitlines(), start=1):
         if not line.strip():
             continue
@@ -243,7 +240,7 @@ def load_model(path: str | os.PathLike) -> Model:
                 raise ManifestCorruptError(
                     f"manifest line {lineno}: bad tensor shape {shape_part!r}"
                 ) from None
-            tensor_specs.append((name, shape))
+            listed.append((name, shape))
         elif key in fields:
             raise ManifestCorruptError(f"manifest line {lineno}: duplicate field {key!r}")
         else:
@@ -264,15 +261,11 @@ def load_model(path: str | os.PathLike) -> Model:
             f"manifest lists {len(tags)} tags for an n_tags={config.n_tags} config"
         )
 
-    expected = [
-        (f"{layer}.{field_name}", shape)
-        for layer, tensors in config.layer_shapes().items()
-        for field_name, shape in tensors.items()
-    ]
-    if tensor_specs != expected:  # name the first tensor line that differs
+    expected = tensor_specs(config)
+    if listed != expected:  # name the first tensor line that differs
         found, want = (
             [f"'tensor {key} {_format(shape)}'" for key, shape in specs] + ["the end of the list"]
-            for specs in (tensor_specs, expected)
+            for specs in (listed, expected)
         )
         i = next(i for i, pair in enumerate(zip(found, want)) if pair[0] != pair[1])
         raise ShapeMismatchError(f"manifest tensor line {i + 1} is {found[i]}; the config implies {want[i]}")
@@ -293,11 +286,4 @@ def load_model(path: str | os.PathLike) -> Model:
             f"tensor {expected[i][0]} at byte offset {end + 4 * int(stops[i] - sizes[i])} "
             f"holds a non-finite value at byte offset {end + 4 * bad}"
         )
-    payload = payload.astype(np.float32, copy=False)  # a byteswap copy on a big-endian host only
-    layers: dict[str, dict[str, np.ndarray]] = {}
-    pos = 0
-    for (key, shape), size in zip(expected, sizes):  # writable views of the one payload buffer
-        layer, field_name = key.rsplit(".", 1)
-        layers.setdefault(layer, {})[field_name] = payload[pos : pos + size].reshape(shape)
-        pos += size
-    return Model(config, [LayerParams(name, **arrays) for name, arrays in layers.items()], tuple(tags))
+    return Model(config, payload.astype(np.float32, copy=False), tuple(tags))  # copies on big-endian only

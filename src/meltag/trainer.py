@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .rng import SplitMix64
 from .store import check_output_path, parse_fields, read_text, registry_get, save_model
 
 EMA_MOMENTUM = 0.9
+ADAM_BLOCK = 1 << 15  # 256 KiB of float64 per array
 
 
 @dataclass(frozen=True)
@@ -75,30 +76,33 @@ def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # float64 first moments, one per buffer value, from the first step
+    v: np.ndarray | None = None  # float64 second moments
     t: int = 0
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns new values for grads' keys."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of a flat buffer in place, from a flat float64 gradient, in
+    cache-sized blocks. Every value rounds as m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p - lr*(m/c1) / (sqrt(v/c2) + eps) in float64 would: regrouping any of these moves bits."""
     state.t += 1
     b1, b2 = config.beta1, config.beta2
-    correction1 = 1.0 - b1**state.t
-    correction2 = 1.0 - b2**state.t
-    out = {}
-    for key, g in grads.items():
-        g = np.asarray(g, dtype=np.float64)
-        m = state.m[key] = b1 * state.m.get(key, 0.0) + (1.0 - b1) * g  # moments start at zero
-        v = state.v[key] = b2 * state.v.get(key, 0.0) + (1.0 - b2) * g * g
-        step = config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
-        out[key] = params[key] - step
-    return out
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    if state.m is None:  # moments start at zero
+        state.m, state.v = np.zeros_like(grads), np.zeros_like(grads)
+    step, denominator = np.empty((2, min(ADAM_BLOCK, grads.size)))
+    for lo in range(0, grads.size, ADAM_BLOCK):
+        m, v, g, p = (a[lo : lo + ADAM_BLOCK] for a in (state.m, state.v, grads, params))
+        s, d = step[: g.size], denominator[: g.size]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=s), g, out=s)
+        np.sqrt(np.divide(v, c2, out=d), out=d)
+        d += config.epsilon
+        np.multiply(np.divide(m, c1, out=s), config.learning_rate, out=s)
+        s /= d
+        p[...] = np.subtract(p, s, out=s)
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,13 @@ def fit(model: Model, patches, targets, config: TrainConfig = TrainConfig()) -> 
             # sigmoid in float64, as the loss: float32 rounds to 1.0 from logit 16.6 on
             loss, grad_logits = bce_loss(ops.sigmoid(logits.astype(np.float64)), y[idx])
             stats = network.batch_norm_statistics(tape)  # backward consumes the tape
-            grads = network.backward_batch(model, tape, grad_logits)
-            params = model.tensors()
-            model.set_tensors(adam_step(params, grads, state, config))
+            # flat() zero-fills the bn_mean/bn_var gradients train mode lacks: Adam leaves them (p - 0.0)
+            grads = model.flat(network.backward_batch(model, tape, grad_logits))
+            adam_step(model.buffer, grads, state, config)
             for name, (mean, var) in stats.items():  # one EMA step of the running statistics
                 layer = model.layer(name)
-                layer.bn_mean = (EMA_MOMENTUM * layer.bn_mean + (1 - EMA_MOMENTUM) * mean).astype(model.dtype)
-                layer.bn_var = (EMA_MOMENTUM * layer.bn_var + (1 - EMA_MOMENTUM) * var).astype(model.dtype)
+                layer.bn_mean[...] = EMA_MOMENTUM * layer.bn_mean + (1 - EMA_MOMENTUM) * mean
+                layer.bn_var[...] = EMA_MOMENTUM * layer.bn_var + (1 - EMA_MOMENTUM) * var
             epoch_loss += loss * len(idx) / n
         losses[epoch] = epoch_loss
     return TrainLog(epoch_losses=losses)

@@ -1,5 +1,6 @@
 """Architecture graphs: shape algebra, trace contracts, and exact gradients."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -198,21 +199,80 @@ class TestBuildModel:
         with pytest.raises(ConfigInvalidError, match="bogus"):
             model.astype("bogus")
         with pytest.raises(ConfigInvalidError, match="float16"):
-            network.Model(model.config, model.params, model.tags, mode="float16")
+            network.Model(model.config, model.buffer, model.tags, mode="float16")
 
     @pytest.mark.parametrize("layer, channels", [("input_bn", 1), ("timbral_0", 2)])
     def test_a_tensor_the_config_does_not_list_is_rejected(self, layer, channels):
-        """Only the listed fields used to be checked, so save_model wrote such a tensor, which
-        load_model then refused; a stale block bias would be added in the forward but never trained."""
+        """A tensor the config does not list cannot be attached after construction: the forward
+        would add a stale block bias that the backward never trains, and the file would not load."""
         model = build_model(tiny_musicnn(), seed=1)
-        model.layer(layer).bias = np.zeros(channels, np.float32)
-        with pytest.raises(ShapeMismatchError, match=re.escape(f"{layer}.bias: expected no tensor")):
-            network.Model(model.config, model.params, model.tags)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.layer(layer).bias = np.zeros(channels, np.float32)
+        assert model.layer(layer).bias is None
+
+    @pytest.mark.parametrize("field_name, shape", [("bias", (2,)), ("weights", (2, 1, 3, 3))])
+    def test_a_layer_tensor_cannot_be_rebound(self, field_name, shape):
+        """A rebound tensor used to reach the forward unchecked and got no gradient (vgg block1 has no
+        bias); values change only by writes into the buffer's views."""
+        model = build_model(tiny_vgg(), seed=1)
+        before = model.buffer.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model.layer("block1"), field_name, np.full(shape, 3.0, np.float32))
+        assert model.layer("block1").bias is None
+        assert np.shares_memory(model.layer("block1").weights, model.buffer)
+        np.testing.assert_array_equal(model.buffer, before)
+
+    def test_a_model_field_cannot_be_rebound(self):
+        """A rebound buffer used to be saved while the forward still read the old views, and a rebound
+        mode changed the dtype the forward cast its input to."""
+        model = build_model(tiny_vgg(), seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.buffer = np.zeros_like(model.buffer)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.mode = "float64"
+        assert np.shares_memory(model.layer("output_dense").weights, model.buffer) and model.mode == "float32"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda n: np.zeros(n + 1, np.float32),
+            lambda n: np.zeros(n, np.float64),
+            lambda n: np.zeros((n, 1), np.float32),
+            lambda n: np.zeros(2 * n, np.float32)[::2],
+        ],
+        ids=["size", "dtype", "rank", "strided"],
+    )
+    def test_a_buffer_that_does_not_fit_the_config_is_rejected(self, bad):
+        model = build_model(tiny_musicnn(), seed=1)
+        with pytest.raises(ShapeMismatchError, match="buffer"):
+            network.Model(model.config, bad(model.buffer.size), model.tags)
 
     def test_set_tensors_checks_shapes(self):
         model = build_model(tiny_musicnn(), seed=1)
         with pytest.raises(ShapeMismatchError):
             model.set_tensors({"output_dense.bias": np.zeros(5)})
+
+    @pytest.mark.parametrize("key", ["nope.weights", "output_dense.foo", "weights"])
+    def test_set_tensors_names_an_unknown_key(self, key):
+        """These used to raise KeyError, AttributeError and a ValueError from unpacking."""
+        model = build_model(trainer.toy_model_config(), seed=1)
+        with pytest.raises(ShapeMismatchError, match=re.escape(repr(key))):
+            model.set_tensors({key: np.zeros(5)})
+
+    def test_tensors_is_a_snapshot(self):
+        """grad_check (criterion 01) perturbs its inputs through set_tensors: views would move them too."""
+        cfg = trainer.toy_model_config()
+        model = build_model(cfg, seed=1, mode="float64")
+        snapshots = [model.tensors()]
+        saved = [b"".join(t.tobytes() for t in snapshots[0].values())]
+        model.set_tensors({key: t + 1e-3 for key, t in model.tensors().items()})
+        snapshots.append(model.tensors())
+        saved.append(b"".join(t.tobytes() for t in snapshots[1].values()))
+        x, y = trainer.synthetic_dataset(cfg, 4, seed=2)
+        trainer.fit(model, x, y, trainer.TrainConfig(batch_size=2, epochs=1, learning_rate=1e-2))
+        for snapshot, want in zip(snapshots, saved):
+            assert b"".join(t.tobytes() for t in snapshot.values()) == want
+        assert b"".join(t.tobytes() for t in model.tensors().values()) not in saved
 
     def test_set_tensors_stores_c_order(self):
         # ops promise layout-free bits only for C-order parameters

@@ -1,6 +1,7 @@
 """Loss, optimizer, training loop, and the train CLI."""
 
 import codecs
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -105,42 +106,54 @@ class TestBceLoss:
 
 class TestAdam:
     def test_zero_gradient_is_a_no_op(self):
-        params = {"w": np.array([1.0, -2.0])}
-        out = adam_step(params, {"w": np.zeros(2)}, AdamState(), TrainConfig())
-        np.testing.assert_array_equal(out["w"], params["w"])
+        params = np.array([1.0, -2.0])
+        adam_step(params, np.zeros(2), AdamState(), TrainConfig())
+        np.testing.assert_array_equal(params, [1.0, -2.0])
 
     def test_first_step_size_approaches_the_learning_rate(self):
         config = TrainConfig(learning_rate=0.01)
-        params = {"w": np.zeros(3)}
-        grads = {"w": np.array([5.0, -0.3, 1e4])}
-        out = adam_step(params, grads, AdamState(), config)
+        params = np.zeros(3)
+        adam_step(params, np.array([5.0, -0.3, 1e4]), AdamState(), config)
         # after bias correction the first update is lr * g/(|g| + eps)
-        np.testing.assert_allclose(np.abs(out["w"]), 0.01, rtol=1e-5)
-        assert np.sign(out["w"]).tolist() == [-1.0, 1.0, -1.0]
+        np.testing.assert_allclose(np.abs(params), 0.01, rtol=1e-5)
+        assert np.sign(params).tolist() == [-1.0, 1.0, -1.0]
 
     def test_minimizes_a_quadratic(self):
         config = TrainConfig(learning_rate=0.1)
         state = AdamState()
-        x = {"x": np.array([1.0])}
+        x = np.array([1.0])
         for _ in range(100):
-            x = adam_step(x, {"x": 2.0 * x["x"]}, state, config)
-        assert abs(x["x"][0]) < 0.05
+            adam_step(x, 2.0 * x, state, config)
+        assert abs(x[0]) < 0.05
         assert state.t == 100
-
-    def test_updates_only_the_keys_given_grads(self):
-        params = {"a": np.ones(2), "b": np.ones(2)}
-        out = adam_step(params, {"a": np.ones(2)}, AdamState(), TrainConfig())
-        assert set(out) == {"a"}
 
     def test_two_steps_differ_from_one_big_step(self):
         config = TrainConfig(learning_rate=0.5)
         state = AdamState()
-        x = {"x": np.array([4.0])}
-        x = adam_step(x, {"x": np.array([1.0])}, state, config)
-        first = x["x"].copy()
-        x = adam_step(x, {"x": np.array([1.0])}, state, config)
-        assert x["x"][0] < first[0] < 4.0
+        x = np.array([4.0])
+        adam_step(x, np.array([1.0]), state, config)
+        first = x.copy()
+        adam_step(x, np.array([1.0]), state, config)
+        assert x[0] < first[0] < 4.0
 
+
+    def test_blocks_round_as_one_expression_over_the_buffer(self):
+        """Over more than two blocks, two steps give what the whole-buffer formula gives, bit for bit."""
+        config = TrainConfig(learning_rate=0.01)
+        b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+        rng = np.random.default_rng(0)
+        n = 2 * trainer.ADAM_BLOCK + 3
+        params = rng.normal(size=n)
+        want, m, v, state = params.copy(), 0.0, 0.0, AdamState()
+        for t in (1, 2):
+            g = rng.normal(size=n)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            want = want - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            given = g.copy()
+            adam_step(params, g, state, config)
+            assert g.tobytes() == given.tobytes()  # the gradient is left as it was
+        assert params.tobytes() == want.tobytes()
 
 class TestTrainLog:
     def test_csv_shape(self):
@@ -209,6 +222,26 @@ class TestFit:
         np.testing.assert_array_equal(log_a.epoch_losses, log_b.epoch_losses)
         for key, t in a.tensors().items():
             np.testing.assert_array_equal(t, b.tensors()[key])
+
+    # sha256 of every tensor after a 2-epoch fit, concatenated in tensors() order
+    POST_FIT_SHA256 = {
+        ("musicnn", "temporal_pooling", "float64"): "e592df5f5ccf87b9717fdcc8c5ff3fc09cab6b957b3bfd83bd1891e2f2227d19",
+        ("musicnn", "temporal_pooling", "float32"): "fb1da9badcc55d33cf2333e3a5732230046d453f53d40c4f233b811aba861bac",
+        ("musicnn", "attention", "float64"): "1c8667c4388435571ba084a89e79e9822079c99f84f571c5f423711590872665",
+        ("musicnn", "attention", "float32"): "21526aca1e796f1347e03585b9ff16213471001ba6748e25e0f729774bae52d3",
+        ("vgg", "temporal_pooling", "float64"): "2e4cebe779dbb4d38e799453781cc06acc10ff9c4d77e8741ee9eb7c862dc2fa",
+        ("vgg", "temporal_pooling", "float32"): "cfefb0e26334a48add60a3e0d24203af042d5145b4c7677b6ccc0b9d87f00323",
+    }
+
+    @pytest.mark.parametrize("family, backend, mode", list(POST_FIT_SHA256), ids=map("-".join, POST_FIT_SHA256))
+    def test_fit_keeps_its_pinned_bits(self, family, backend, mode):
+        """Pins Adam's rounding order and the bn moving averages, which no bench digest covers bit for bit."""
+        cfg = toy_model_config(family, backend)
+        model = build_model(cfg, seed=3, mode=mode)
+        x, y = synthetic_dataset(cfg, 6, seed=4)
+        fit(model, x, y, TrainConfig(batch_size=2, epochs=2, seed=5, mode=mode, learning_rate=1e-2))
+        got = hashlib.sha256(b"".join(t.tobytes() for t in model.tensors().values())).hexdigest()
+        assert got == self.POST_FIT_SHA256[family, backend, mode]
 
     def test_running_statistics_take_one_ema_step_per_batch(self):
         cfg = tiny_musicnn()
