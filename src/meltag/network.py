@@ -20,10 +20,10 @@ in either batch-norm mode:
     reproduce single-patch inference exactly.
   - "train": statistics of the current batch (examples couple through them).
 
-In infer mode a block that ends in a max pool (timbral, vgg) pools the conv
-output before bn and relu. Per channel these form a monotone map, also in
-floating point: non-decreasing where gamma >= 0 (max-pool), non-increasing
-where gamma < 0 (min-pool). Train-mode batch statistics need the full map.
+A block that ends in a max pool (timbral, vgg) pools the conv output before bn
+and relu. Per channel these form a monotone map, also in floating point:
+non-decreasing where gamma >= 0 (max-pool), non-increasing where gamma < 0
+(min-pool). In train mode the batch statistics still come from the full map.
 
 Conv outputs, and the maps built from them, are width-major views (see
 `ops`). The ops that would sum them in memory order copy to C order first,
@@ -38,8 +38,9 @@ steps gets their gradients summed in recording order. The ops already sum
 over the batch in example index order. Backward consumes the tape, freeing
 each entry and cached map once its rule has used it, so a train step reads
 `batch_norm_statistics` first (a consumed tape raises TapeConsumedError).
-After an infer forward the block rule rebuilds the full relu map from the
-cached conv output. In inference mode the running bn statistics receive exact
+A pooled block keeps each window's offset of its extreme, and its rule routes
+the pooled gradient there (ops.pool_extreme_backward), so no full bn or relu
+map is kept or rebuilt. In inference mode the running bn statistics receive exact
 gradients too, which lets the whole-network gradient check cover every stored
 tensor. `infer_batch` (tag, extract, transfer) records none and pools each
 conv map inside conv2d_pool.
@@ -362,13 +363,16 @@ def _record(tape: list | None, rule, inputs: tuple, layer, saved, out: np.ndarra
     return out, len(tape) - 1
 
 
-def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict) -> np.ndarray:
-    """Batch norm over a stacked [B, C, ...] tensor in either mode."""
+def _bn_forward(xs: np.ndarray, layer: LayerParams, bn_mode: str, cache: dict, window=None) -> np.ndarray:
+    """Batch norm over a stacked [B, C, ...] tensor in either mode; with a pool window, of each
+    window's extreme only (the pooled map of bn's output, see ops.batchnorm_train)."""
     if bn_mode == "train":
-        out, mean, var, bn_cache = ops.batchnorm_train(xs, layer)
-        cache["bn_cache"] = bn_cache
+        out, mean, var, cache["bn_cache"] = ops.batchnorm_train(xs, layer, window)
         cache["bn_stats"] = (mean, var)
         return out
+    if window:
+        xs, cache["at"] = ops.pool_extreme(xs, *window, layer.bn_gamma < 0)
+        cache["window"] = window
     cache["bn_input"] = xs
     return ops.batchnorm_infer(xs, layer)
 
@@ -383,6 +387,8 @@ def _bn_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> 
     grad_x, grads[p + "bn_gamma"], grads[p + "bn_beta"], grads[p + "bn_mean"], grads[p + "bn_var"] = (
         ops.batchnorm_infer_backward(cache.pop("bn_input"), layer, grad)
     )
+    if "at" in cache:  # route each window's gradient to its extreme
+        grad_x = ops.pool_extreme_backward(grad_x, cache.pop("at"), *cache["window"])
     return (grad_x,)
 
 
@@ -402,49 +408,31 @@ def _pool_first(y: np.ndarray, pool, gamma: np.ndarray) -> np.ndarray:
 def _conv_bn_relu_forward(
     xs: np.ndarray, layer: LayerParams, pad_h: int, pad_w: int, bn_mode: str, cache: dict | None, pool=None
 ) -> np.ndarray:
-    """conv -> bn -> relu [-> pool] over a stacked batch; caches what backward needs.
-    With no cache (infer only) conv2d pools each example's map as it makes it."""
+    """conv -> bn -> relu [-> max pool] over a stacked batch; caches what backward needs. pool is
+    (forward, (window_h, window_w)): with no cache (infer only) conv2d pools each example's map
+    by forward as it makes it, and a tape's block normalises each window's extreme only."""
     if cache is None:
-        first = pool and (lambda y: _pool_first(y, pool, layer.bn_gamma))
+        first = pool and (lambda y: _pool_first(y, pool[0], layer.bn_gamma))
         h = ops.batchnorm_infer(ops.conv2d_pool(xs, layer, pad_h, pad_w, first), layer)
         return ops.relu(h, out=h)
-    y = ops.conv2d(xs, layer, pad_h, pad_w)
     cache.update(x=xs, pad=(pad_h, pad_w))
-    if pool is None or bn_mode == "train":
-        h = _bn_forward(y, layer, bn_mode, cache)
-        cache["relu_out"] = ops.relu(h, out=h)
-        return h if pool is None else pool(h)
-    cache["bn_input"] = y
-    h = ops.batchnorm_infer(_pool_first(y, pool, layer.bn_gamma), layer)
-    return ops.relu(h, out=h)
+    h = _bn_forward(ops.conv2d(xs, layer, pad_h, pad_w), layer, bn_mode, cache, pool and pool[1])
+    cache["relu_out"] = ops.relu(h, out=h)
+    return h
 
 
 def _block_rule(grad: np.ndarray, layer: LayerParams, cache: dict, grads: dict) -> tuple:
-    if "relu_out" not in cache:  # an infer forward pooled first: rebuild the full relu map
-        cache["relu_out"] = ops.batchnorm_infer(cache["bn_input"], layer)
-        ops.relu(cache["relu_out"], out=cache["relu_out"])
-    if cache["pool_backward"] is not None:
-        grad = cache["pool_backward"](cache["relu_out"], grad)
-    # popping the relu map and rebinding grad free each full map before conv2d_backward
-    grad = ops.relu_backward(cache.pop("relu_out"), grad)
-    (grad,) = _bn_rule(grad, layer, cache, grads)
-    p = layer.name + "."
-    grad_x, grads[p + "weights"], _ = ops.conv2d_backward(cache.pop("x"), layer, grad, *cache["pad"])
+    # popping the (pooled) relu map and the bn cache leaves one full map, the gradient, for conv2d_backward
+    (grad,) = _bn_rule(ops.relu_backward(cache.pop("relu_out"), grad), layer, cache, grads)
+    grad_x, grads[layer.name + ".weights"], _ = ops.conv2d_backward(cache.pop("x"), layer, grad, *cache["pad"])
     return (grad_x,)
 
 
-def _block(
-    tape: list | None, src, xs: np.ndarray, layer: LayerParams, pad: tuple, bn_mode: str, pools=(None, None)
-) -> tuple:
-    """One conv-bn-relu[-pool] block as a single tape entry; pools is (forward, backward)."""
-    cache = None if tape is None else {"pool_backward": pools[1]}
-    h = _conv_bn_relu_forward(xs, layer, *pad, bn_mode, cache, pools[0])
+def _block(tape: list | None, src, xs: np.ndarray, layer: LayerParams, pad: tuple, bn_mode: str, pool=None) -> tuple:
+    """One conv-bn-relu[-pool] block as a single tape entry; pool as in _conv_bn_relu_forward."""
+    cache = None if tape is None else {}
+    h = _conv_bn_relu_forward(xs, layer, *pad, bn_mode, cache, pool)
     return _record(tape, _block_rule, (src,), layer, cache, h)
-
-
-def _pools(pool, pool_backward, *args) -> tuple:
-    """(forward, backward) of an ops pool, its arguments bound now rather than when called."""
-    return lambda z: pool(z, *args), lambda r, g: pool_backward(r, *args, g)
 
 
 def _dense_rule(grad: np.ndarray, layer: LayerParams, x: np.ndarray, grads: dict) -> tuple:
@@ -512,11 +500,13 @@ def _musicnn_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list | No
     # timbral: tall kernels, relu, then a global max over what is left of
     # the frequency axis -- detectors fire wherever their shape appears in
     # frequency, which is the pitch-invariance premise of this front end
-    pools = _pools(ops.pool_max_over_axis, ops.pool_max_over_axis_backward, 3)
-    front_parts = [  # [B, C, T] each
-        _block(tape, x_slot, x, model.layer(f"timbral_{i}"), (3, 0), bn_mode, pools)
-        for i in range(len(cfg.timbral_filter_heights))
-    ]
+    front_parts = []  # [B, C, T] each
+    for i in range(len(cfg.timbral_filter_heights)):
+        layer = model.layer(f"timbral_{i}")
+        window = (1, x.shape[3] - layer.weights.shape[3] + 1)  # the whole width
+        pool = (lambda z: ops.pool_max_over_axis(z, 3)[..., None], window)
+        h, slot = _block(tape, x_slot, x, layer, (3, 0), bn_mode, pool)
+        front_parts.append((h[..., 0], slot))
 
     # temporal: mean over frequency first, so the horizontal kernels see an
     # energy envelope rather than individual bands
@@ -576,8 +566,8 @@ def _vgg_forward(xs: np.ndarray, model: Model, bn_mode: str, tape: list | None) 
     x, slot = np.pad(xs, ((0, 0), (0, 0), (0, pad_frames), (0, 0))), None
     trace = {}
     for i, (ph, pw) in enumerate(cfg.vgg_pool_shapes, start=1):
-        pools = _pools(ops.pool_max, ops.pool_max_backward, ph, pw)
-        x, slot = _block(tape, slot, x, model.layer(f"block{i}"), (1, 1), bn_mode, pools)
+        pool = (lambda z: ops.pool_max(z, ph, pw), (ph, pw))
+        x, slot = _block(tape, slot, x, model.layer(f"block{i}"), (1, 1), bn_mode, pool)
         trace[f"pool{i}"] = x
     logits, _ = _dense(tape, (x.reshape(x.shape[0], -1), slot), model.layer("output_dense"))
     return logits, trace

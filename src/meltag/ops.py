@@ -15,8 +15,8 @@ modes. Row b of a batched call is bit for bit the call on example b alone,
 and parameter gradients come back already summed over the batch in example
 index order. Backwards build no full-size scratch read only once:
 conv2d_backward adds tap planes to the input gradient in row-major tap
-order, as a sum over tap axes would; pool_max_backward selects each
-window's first max; train-mode batch norm works in place. No op's bits
+order, as a sum over tap axes would; pool_extreme_backward adds into one
+flat index of each window. No op's bits
 depend on its inputs' layout (parameters are stored in C order): what an op
 sums or feeds to a matrix product is taken in C order, which copies only an
 input that is not (x in dense, batchnorm_train, batchnorm_infer_backward and
@@ -33,8 +33,8 @@ g is the most outputs up to the map's width with (kW + g - 1) / kW <= 1.3: 1
 
 Every forward surfaces NaN/Inf as NumericFaultError naming the layer (conv2d
 also names the batch row): silent non-finite values would otherwise poison
-gradient checks downstream. No op mutates its inputs (bar relu's `out`), so
-read-only tensors may be shared across threads.
+gradient checks downstream. No op mutates its inputs (bar the `out` of relu
+and pool_extreme_backward), so read-only tensors may be shared across threads.
 """
 
 from __future__ import annotations
@@ -323,51 +323,55 @@ def batchnorm_infer_backward(
 
 
 def batchnorm_train(
-    batch: np.ndarray, params: LayerParams
+    batch: np.ndarray, params: LayerParams, window: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Normalize a [B, C, ...] batch with its own statistics.
 
     Returns (output, batch_mean, batch_var, cache); variance is the biased
-    per-channel moment over batch and spatial axes. The cache feeds
-    batchnorm_train_backward.
+    per-channel moment over batch and spatial axes. With a pool window over a
+    [B, C, H, W] batch only each window's extreme is normalized (pool_extreme,
+    the min where gamma < 0): bn is monotone in each channel, so this is the
+    max pool of the full output. The cache feeds batchnorm_train_backward.
     """
     c = batch.shape[1]
     if params.bn_gamma is None or params.bn_gamma.shape[0] != c:
         raise ShapeMismatchError(f"{params.name}: bn parameters do not match {c} channels")
-    batch = np.ascontiguousarray(batch)  # float sums follow memory order: sum in C order
+    picked, at = pool_extreme(batch, *window, params.bn_gamma < 0) if window else (None, None)
+    c_order = np.ascontiguousarray(batch)  # float sums follow memory order: sum in C order
     axes = (0,) + tuple(range(2, batch.ndim))
-    mean = batch.mean(axis=axes)
-    xhat = batch - _bn_shape(mean, batch.ndim)  # centred once: np.var's own arithmetic
-    y = np.multiply(xhat, xhat)
-    var = y.mean(axis=axes)
+    mean = c_order.mean(axis=axes)
+    xc = c_order - _bn_shape(mean, batch.ndim)  # centred once: np.var's own arithmetic
+    var = np.multiply(xc, xc, out=None if c_order is batch else c_order).mean(axis=axes)  # squares in the copy
     inv = 1.0 / np.sqrt(_bn_shape(var, batch.ndim) + BN_EPSILON)
-    xhat *= inv
-    np.multiply(xhat, _bn_shape(params.bn_gamma, batch.ndim), out=y)
+    xhat = (xc if window is None else np.ascontiguousarray(picked) - _bn_shape(mean, batch.ndim)) * inv
+    y = xhat * _bn_shape(params.bn_gamma, batch.ndim)
     y += _bn_shape(params.bn_beta, batch.ndim)
     _ensure_finite(f"{params.name}: batchnorm_train", y)
-    cache = {"xhat": xhat, "inv": inv, "axes": axes, "count": batch.size // c}
+    cache = {"xc": xc, "xhat": xhat, "inv": inv, "axes": axes, "count": batch.size // c, "at": at, "window": window}
     return y, mean, var, cache
 
 
 def batchnorm_train_backward(
     params: LayerParams, cache: dict, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of batchnorm_train wrt (batch, gamma, beta)."""
-    xhat, inv, axes, m = cache["xhat"], cache["inv"], cache["axes"], cache["count"]
+    """Gradients of batchnorm_train wrt (batch, gamma, beta), grad_out given at its output.
+
+    Ioffe & Szegedy's backward (ICML 2015) with the sums over the output's positions:
+    inv * gamma * grad_out there, plus inv * gamma * -(sum(g) + xhat * sum(g * xhat)) / m
+    over the whole batch, through the statistics."""
+    xc, xhat, inv, axes, m = cache["xc"], cache["xhat"], cache["inv"], cache["axes"], cache["count"]
     grad_out = np.ascontiguousarray(grad_out)  # float sums follow memory order: sum in C order
-    gamma = _bn_shape(params.bn_gamma, grad_out.ndim)
-    prod = grad_out * xhat  # one product buffer, reused below
-    grad_gamma = prod.sum(axis=axes)
+    grad_gamma = (grad_out * xhat).sum(axis=axes)
     grad_beta = grad_out.sum(axis=axes)
-    gxhat = grad_out * gamma
-    sum_g = _bn_shape(gxhat.sum(axis=axes), grad_out.ndim)
-    sum_gx = _bn_shape(np.multiply(gxhat, xhat, out=prod).sum(axis=axes), grad_out.ndim)
-    # grad_x = (inv / m) * (m * gxhat - sum_g - xhat * sum_gx), evaluated in that order in gxhat
-    gxhat *= m
-    gxhat -= sum_g
-    gxhat -= np.multiply(xhat, sum_gx, out=prod)
-    gxhat *= inv / m
-    return gxhat, grad_gamma, grad_beta
+    scale = _bn_shape(params.bn_gamma, xc.ndim) * inv
+    grad = np.multiply(xc, scale * inv * _bn_shape(grad_gamma, xc.ndim) / -m, order="C")  # xhat = xc * inv
+    grad += scale * _bn_shape(grad_beta, xc.ndim) / -m
+    routed = grad_out * scale
+    if cache["at"] is None:
+        grad += routed
+    else:
+        pool_extreme_backward(routed, cache["at"], *cache["window"], out=grad)
+    return grad, grad_gamma, grad_beta
 
 
 # --- activations ------------------------------------------------------------
@@ -431,20 +435,44 @@ def pool_max(x: np.ndarray, window_h: int, window_w: int) -> np.ndarray:
     return y if window_h * window_w > 1 else y.copy()
 
 
-def pool_max_backward(
-    x: np.ndarray, window_h: int, window_w: int, grad_out: np.ndarray
-) -> np.ndarray:
-    """Routes each window's gradient to its first max in row-major order, by selection:
-    offsets are visited in that order and only a window's first hit copies grad_out."""
-    y = pool_max(x, window_h, window_w)
-    grad = np.zeros(x.shape, dtype=x.dtype)
-    free = np.ones(y.shape, dtype=bool)
-    for i in range(window_h):
-        for j in range(window_w):
-            hit = (x[..., i::window_h, j::window_w] == y) & free
-            np.copyto(grad[..., i::window_h, j::window_w], grad_out, where=hit)
-            free ^= hit
-    return grad
+def pool_extreme(
+    x: np.ndarray, window_h: int, window_w: int, low: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping pooling of [..., C, H, W] to each window's first extreme in row-major order:
+    the max, or the min in the channels where low [C] is set. Returns (pooled, offsets), an offset
+    being the extreme's row-major position in its window."""
+    h, w = x.shape[-2:]
+    if h % window_h != 0 or w % window_w != 0:
+        raise ShapeMismatchError(f"pool window {window_h}x{window_w} does not divide input {h}x{w}")
+    sign = None
+    if low is not None and low.any():  # a min is minus the max of -x
+        sign = np.where(low, -1.0, 1.0).astype(x.dtype)[:, None, None]
+        x = x * sign
+    best = x[..., ::window_h, ::window_w].copy(order="K")  # the map's layout: whole rows of a width-major map
+    offsets = np.zeros_like(best, np.min_scalar_type(window_h * window_w - 1))
+    for k in range(1, window_h * window_w):  # a later offset wins only by being larger
+        cand = x[..., k // window_w :: window_h, k % window_w :: window_w]
+        offsets += (cand > best) * (k - offsets)  # arithmetic: a masked write is several times slower
+        np.maximum(best, cand, out=best)
+    return best if sign is None else best * sign, offsets
+
+
+def pool_extreme_backward(grad_out: np.ndarray, offsets: np.ndarray, window_h: int, window_w: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Adds each window's grad_out at its pool_extreme offset into out, the C-ordered [..., H, W]
+    map (zeros when not given), by one indexed add over the flat map; returns out."""
+    *lead, hp, wp = grad_out.shape
+    w = wp * window_w
+    if out is None:
+        out = np.zeros((*lead, hp * window_h, w), grad_out.dtype)
+    if out.shape != (*lead, hp * window_h, w) or not out.flags.c_contiguous:
+        raise ShapeMismatchError(f"pool gradient {grad_out.shape} cannot route into {out.shape}")
+    # flat position of each window's corner, plus its extreme's offset from the corner
+    pos = np.arange(out.size // (window_h * w))[:, None] * (window_h * w) + np.arange(wp) * window_w
+    pos += (np.arange(window_h)[:, None] * w + np.arange(window_w)).reshape(-1)[offsets.reshape(pos.shape)]
+    flat = out.reshape(-1)  # a view: out is C-contiguous
+    flat[pos] += grad_out.reshape(pos.shape)
+    return out
 
 
 def pool_mean_over_axis(x: np.ndarray, axis: int) -> np.ndarray:

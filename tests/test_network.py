@@ -460,6 +460,18 @@ class TestNumericFaults:
         with pytest.raises(NumericFaultError, match=rf"^{layer}: {op} produced non-finite values"):
             forward_batch(patches, model, bn_mode=bn_mode)
 
+    @pytest.mark.parametrize("family, key", [("musicnn", "timbral_0.bn_gamma"), ("vgg", "block1.bn_gamma")])
+    def test_train_fault_in_a_pooled_block_names_its_layer(self, family, key):
+        # a pooled block normalises only each window's extreme: the fault must still surface there
+        model = build_model(trainer.toy_model_config(family), seed=1)
+        bad = model.tensors()[key].copy()
+        bad.flat[0] = np.nan
+        model.set_tensors({key: bad})
+        patches, _ = trainer.synthetic_dataset(model.config, 2, seed=0)
+        layer = key.split(".")[0]
+        with pytest.raises(NumericFaultError, match=rf"^{layer}: batchnorm_train produced non-finite values"):
+            forward_batch(patches, model, bn_mode="train")
+
 
 class TestTrainMode:
     def test_train_forward_matches_infer_when_stats_agree(self):
@@ -605,13 +617,46 @@ class TestGradients:
         assert set(grads) == set(model.tensors())
 
 
-# x shape, kernel shape, padding, pool: the timbral max over frequency and
-# two vgg max-pool windows
+class TestTrainGradients:
+    """Finite differences through train-mode batch norm, where a pooled block's
+    sums run over each window's extreme only."""
+
+    @pytest.mark.parametrize("bn_seed", [None, 5], ids=["identity_bn", "random_bn"])
+    def test_vgg_train_gradients(self, bn_seed):
+        report = _network_grad_check(tiny_vgg(), "train", bn_seed=bn_seed)
+        assert report.passed, str(report)
+
+    def test_musicnn_train_gradients_with_negative_gammas(self):
+        # the tolerance of test_train_mode_gradients, for the same reason
+        report = _network_grad_check(tiny_musicnn(), "train", tolerance=1e-3, bn_seed=5)
+        assert report.passed, str(report)
+
+
+# x shape, kernel shape, padding, pool (forward, window): the timbral max over
+# frequency and two vgg max-pool windows
 POOLED_BLOCKS = {
-    "timbral": ((3, 1, 8, 10), (5, 1, 7, 4), (3, 0), lambda z: ops.pool_max_over_axis(z, 3)),
-    "vgg_2x2": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), lambda z: ops.pool_max(z, 2, 2)),
-    "vgg_6x3": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), lambda z: ops.pool_max(z, 6, 3)),
+    "timbral": ((3, 1, 8, 10), (5, 1, 7, 4), (3, 0), (lambda z: ops.pool_max_over_axis(z, 3)[..., None], (1, 7))),
+    "vgg_2x2": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), (lambda z: ops.pool_max(z, 2, 2), (2, 2))),
+    "vgg_6x3": ((3, 2, 12, 6), (5, 2, 3, 3), (1, 1), (lambda z: ops.pool_max(z, 6, 3), (6, 3))),
 }
+
+
+def _pooled_block(block, dtype):
+    """(layer, x, pad, pool) of a POOLED_BLOCKS case. The gammas include 0 and
+    values < 0, whose min-pool branch no registry model reaches."""
+    x_shape, w_shape, pad, pool = POOLED_BLOCKS[block]
+    rng = np.random.default_rng(31)
+    c = w_shape[0]
+    layer = ops.LayerParams(
+        "block",
+        weights=rng.normal(size=w_shape).astype(dtype),
+        bias=rng.normal(size=c).astype(dtype),
+        bn_gamma=np.array([1.3, -0.7, 0.0, 2.1, -1.9], dtype=dtype),
+        bn_beta=rng.normal(size=c).astype(dtype),
+        bn_mean=rng.normal(size=c).astype(dtype),
+        bn_var=rng.uniform(0.2, 2.0, c).astype(dtype),
+    )
+    return layer, rng.normal(size=x_shape).astype(dtype), pad, pool
 
 
 class TestPoolFirst:
@@ -619,26 +664,28 @@ class TestPoolFirst:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", sorted(POOLED_BLOCKS))
     def test_infer_block_equals_conv_bn_relu_pool_bit_for_bit(self, block, dtype, tape):
-        # with no tape conv2d pools each example's map. The gammas include 0
-        # and values < 0, whose min-pool branch no registry model reaches
-        x_shape, w_shape, pad, pool = POOLED_BLOCKS[block]
-        rng = np.random.default_rng(31)
-        c = w_shape[0]
-        layer = ops.LayerParams(
-            "block",
-            weights=rng.normal(size=w_shape).astype(dtype),
-            bias=rng.normal(size=c).astype(dtype),
-            bn_gamma=np.array([1.3, -0.7, 0.0, 2.1, -1.9], dtype=dtype),
-            bn_beta=rng.normal(size=c).astype(dtype),
-            bn_mean=rng.normal(size=c).astype(dtype),
-            bn_var=rng.uniform(0.2, 2.0, c).astype(dtype),
-        )
-        x = rng.normal(size=x_shape).astype(dtype)
+        # with no tape conv2d pools each example's map
+        layer, x, pad, pool = _pooled_block(block, dtype)
         full = ops.batchnorm_infer(ops.conv2d(x, layer, *pad), layer)
-        want = pool(ops.relu(full))
+        want = pool[0](ops.relu(full))
         got = network._conv_bn_relu_forward(x, layer, *pad, "infer", {} if tape == "tape" else None, pool)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", sorted(POOLED_BLOCKS))
+    def test_train_block_equals_conv_bn_relu_pool_bit_for_bit(self, block, dtype):
+        # batch statistics come from the full conv map; bn and relu then run on
+        # the pooled map only, which must not move a bit of the output
+        layer, x, pad, pool = _pooled_block(block, dtype)
+        full, mean, var, _ = ops.batchnorm_train(ops.conv2d(x, layer, *pad), layer)
+        want = pool[0](ops.relu(full))
+        tape = []
+        got, _ = network._block(tape, None, x, layer, pad, "train", pool)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        got_mean, got_var = network.batch_norm_statistics(tape)["block"]
+        assert got_mean.tobytes() == mean.tobytes() and got_var.tobytes() == var.tobytes()
 
 
 class TestInferBatch:
@@ -758,24 +805,24 @@ def _registry_digest(name):
 # Pinned on x86-64 with OpenBLAS; a BLAS with other kernels may round the
 # conv and dense products differently.
 TOY_GRADIENT_SHA256 = {
-    ("musicnn", "temporal_pooling", "infer", "float32"): "2239412d58a502cebe7d454e91c9d9cfe7f8ad975c77b78a36908c7babd62d06",
-    ("musicnn", "temporal_pooling", "infer", "float64"): "1e1e48ab7781603275f2ff18291293323d17e8e0d14c9e78bfc5132404f9890f",
-    ("musicnn", "temporal_pooling", "train", "float32"): "7c32c5778cf5fd919b581f35d869652f12c4f7381e95bd7461d530c976eb83de",
-    ("musicnn", "temporal_pooling", "train", "float64"): "b00d9b20fe41fd4479fd3e8d89768303f77ef2bf61cb2d1caed0871ccdeb32bc",
-    ("musicnn", "attention", "infer", "float32"): "4c40123a3855fd6a01a8d83f4e8b81606f73ca6fbe2b3d23693d5f11123b02c8",
-    ("musicnn", "attention", "infer", "float64"): "929dd69af9368be5b203e2567ce913dae8417db039994b08efcbe8679ebae15a",
-    ("musicnn", "attention", "train", "float32"): "2a61b5117e4e69f71e766b8c0fd850671abad453b2d68179278d4bde363f39db",
-    ("musicnn", "attention", "train", "float64"): "0c15e548426af4fcd7428a703ee8e66aeb90d6fd7dbdc5c7a2a8975643538658",
-    ("vgg", "temporal_pooling", "infer", "float32"): "d334a9f4e1be924f853c6afcecbb8128e25436185eb5badefeaca4b7404553d7",
-    ("vgg", "temporal_pooling", "infer", "float64"): "2ded9c7ebd74486fa32c31addf98def0a38abb8e5e1c2cd2defccf64845dbb54",
-    ("vgg", "temporal_pooling", "train", "float32"): "2f8145194058f645156e46373711e634127cb38371b34b3eff3a28545997368f",
-    ("vgg", "temporal_pooling", "train", "float64"): "754a7d892aa9b64d8a219f572b03a135c7bc4841984ec09ef51b79a8d9239215",
+    ("musicnn", "temporal_pooling", "infer", "float32"): "8ea54b1cb442c021b988764fc3622559e905a3de56013c2cf52efdd91b169001",
+    ("musicnn", "temporal_pooling", "infer", "float64"): "df2ee6db2fdb50409dc99363c4063770bd522098221203919b9709ff917868ae",
+    ("musicnn", "temporal_pooling", "train", "float32"): "cc2e8e9d6cb647797e35b68dfa4244357f96f7713b5b422c59f42ae3dd3b0b8b",
+    ("musicnn", "temporal_pooling", "train", "float64"): "3801d7c8321ae5d0af97606c5811ffdc1e95a1c7331929729ff9d1e344595d6c",
+    ("musicnn", "attention", "infer", "float32"): "80b1c5390000036c313b59cbaf4c4b0ca8b64da51b8c34db19fb04c5f5450eff",
+    ("musicnn", "attention", "infer", "float64"): "50ab500f5dd195b96eb27bd7abb9d91ef44cca3bcbfd76748964736615566512",
+    ("musicnn", "attention", "train", "float32"): "f89e60713c640f31a384d46b316a89bc0ab6265d68babddfdbf2840ef8872b86",
+    ("musicnn", "attention", "train", "float64"): "6485dd76f42f60b6dda37531ddde404c24efc1aa5f4dc0ea75780833ab07d182",
+    ("vgg", "temporal_pooling", "infer", "float32"): "0451c7a431f3488135f0cdf2867d9227448c9892a44716df34c1d3a75834c410",
+    ("vgg", "temporal_pooling", "infer", "float64"): "949fe5f0ea74858ba3eafe2e8b63be38d4a408d6800be49d02f517530dcf6672",
+    ("vgg", "temporal_pooling", "train", "float32"): "a81bb92c9387f210f6de7c88c8b8aa4fbb32bbc391815c54376d187f5746303c",
+    ("vgg", "temporal_pooling", "train", "float64"): "2566fe27ceb7746a5e4deabd44004c474acd2473b8745d74d1f44156e7291c72",
 }
 # OpenBLAS splits the registry models' products across threads in a way that
 # moves their bits, so these are pinned on one thread.
 REGISTRY_GRADIENT_SHA256 = {
-    "MTT_musicnn": "d9348d67308d0d8672e975bf492963ab84bdacff56b3cd6a0f07f830e1cf7610",
-    "MTT_vgg": "edfa90acd709b74961dbb3cf8817cf850d416b770f4451f37d663368760a4502",
+    "MTT_musicnn": "62b38cf8fdb0df17b2d54bd0678408d1cbad9aab1165ddfcac8cf890ff998db1",
+    "MTT_vgg": "3c7decadd2550cc7a50ac0417de60ec7cc243561194ad983a15fe7f98303ee00",
 }
 
 

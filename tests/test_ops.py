@@ -556,6 +556,103 @@ class TestBatchNorm:
             params.validate()
 
 
+def _bn_params(gamma, beta, dtype=np.float64):
+    c = len(gamma)
+    return LayerParams("bn", bn_gamma=np.array(gamma, dtype), bn_beta=np.array(beta, dtype),
+                       bn_mean=np.zeros(c, dtype), bn_var=np.ones(c, dtype))
+
+
+def _routed_oracle(params, batch, grad_pooled, offsets, window):
+    """The pooled bn's batch gradient from the unpooled backward: zero gradient
+    at every position but the routed ones."""
+    _, _, _, cache = ops.batchnorm_train(batch, params)
+    return ops.batchnorm_train_backward(params, cache, ops.pool_extreme_backward(grad_pooled, offsets, *window))
+
+
+class TestPooledBatchNorm:
+    """Train-mode bn with a pool window: statistics of the full batch, the
+    affine on each window's extreme, and the gradient routed to that extreme
+    of the input (not to the first maximum of the rounded output)."""
+
+    @pytest.mark.parametrize("window", [(2, 2), (1, 4), (3, 1)])
+    def test_backward_matches_finite_differences(self, window):
+        rng = np.random.default_rng(40)
+        # distinct values far apart, so no perturbation moves a window's extreme
+        x0 = rng.permutation(3 * 2 * 6 * 4).reshape(3, 2, 6, 4) * 0.1
+        r = rng.normal(size=(3, 2, 6 // window[0], 4 // window[1]))
+
+        def f(t):
+            params = _bn_params(t["g"], t["be"])
+            y, _, _, cache = ops.batchnorm_train(t["x"], params, window)
+            gx, gg, gb = ops.batchnorm_train_backward(params, cache, r)
+            return float((y * r).sum()), {"x": gx, "g": gg, "be": gb}
+
+        inputs = {"x": x0, "g": np.array([1.3, -0.8]), "be": rng.normal(size=2)}
+        report = ops.grad_check(f, inputs, tolerance=1e-5)
+        assert report.passed, str(report)
+
+    def test_two_inputs_that_round_to_one_output_route_to_the_larger(self):
+        # 3.0 and its float32 successor become one bn output in float32 (beta
+        # dwarfs gamma's term); the gradient goes to the larger input, the
+        # window's true max, where routing on the output took the first
+        x = np.random.default_rng(41).uniform(-2.0, 2.0, (2, 1, 4, 4)).astype(np.float32)
+        x[0, 0, 0, 0], x[0, 0, 0, 1] = 3.0, np.nextafter(np.float32(3.0), np.float32(4.0))
+        params = _bn_params([1e-3], [8.0], np.float32)
+        full = ops.batchnorm_train(x, params)[0]
+        assert full[0, 0, 0, 0] == full[0, 0, 0, 1] == full[0, 0, :2, :2].max()
+        y, _, _, cache = ops.batchnorm_train(x, params, (2, 2))
+        assert y.tobytes() == ops.pool_max(full, 2, 2).tobytes()
+        assert cache["at"][0, 0, 0, 0] == 1
+        g = np.random.default_rng(42).normal(size=y.shape).astype(np.float32)
+        got = ops.batchnorm_train_backward(params, cache, g)
+        want = _routed_oracle(params, x, g, cache["at"], (2, 2))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-9)
+        first = _routed_oracle(params, x, g, np.where(np.arange(y.size).reshape(y.shape) == 0, 0, cache["at"]), (2, 2))
+        assert not np.allclose(got[0], first[0], rtol=1e-5, atol=1e-9)
+
+    def test_negative_gamma_normalises_and_routes_each_window_min(self):
+        rng = np.random.default_rng(43)
+        x = rng.permutation(2 * 2 * 4 * 6).reshape(2, 2, 4, 6) * 0.25
+        params = _bn_params([-1.5, 0.7], [0.2, -0.1])
+        full = ops.batchnorm_train(x, params)[0]
+        y, _, _, cache = ops.batchnorm_train(x, params, (2, 3))
+        assert y.tobytes() == ops.pool_max(full, 2, 3).tobytes()
+        low = ops.pool_extreme(x, 2, 3, np.array([True, False]))
+        assert cache["at"].tobytes() == low[1].tobytes()
+        assert (x[:, 0, :2, :3].min(axis=(-2, -1)) == low[0][:, 0, 0, 0]).all()
+        g = rng.normal(size=y.shape)
+        got = ops.batchnorm_train_backward(params, cache, g)
+        want = _routed_oracle(params, x, g, cache["at"], (2, 3))
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("bn_mode", ["infer", "train"])
+    def test_a_window_dead_after_relu_passes_no_gradient_to_its_extreme(self, bn_mode):
+        from meltag import network
+
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(2, 1, 4, 4))
+        x[0, 0, :2, :2] -= 10.0  # every output of this window is negative, so relu kills it
+        params = _bn_params([1.0], [0.0])
+        cache = {}
+        h = network._bn_forward(x, params, bn_mode, cache, (2, 2))
+        assert h[0, 0, 0, 0] < 0 and (h.reshape(-1)[1:] > 0).any()
+        g = ops.relu_backward(ops.relu(h), np.ones_like(h))
+        (grad,) = network._bn_rule(g, params, cache, {})
+        dead = grad[0, 0, :2, :2]
+        if bn_mode == "infer":  # only the routed positions have a gradient
+            assert not dead.any() and np.count_nonzero(grad) == np.count_nonzero(g)
+        else:  # the statistics term only: every position off the live windows' extremes,
+            # the dead window's four included, lies on one line a + b * x
+            routed = ops.pool_extreme_backward((g != 0).astype(float), ops.pool_extreme(x, 2, 2)[1], 2, 2)
+            off = routed.reshape(-1) == 0
+            assert off.sum() == x.size - np.count_nonzero(g) and off[0]
+            b, a = np.polyfit(x.reshape(-1)[off], grad.reshape(-1)[off], 1)
+            np.testing.assert_allclose(grad.reshape(-1)[off], a + b * x.reshape(-1)[off], rtol=0, atol=1e-12)
+            assert abs(b) > 1e-3
+
+
 class TestEnsureFinite:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -645,8 +742,9 @@ def pool_max_oracle(x, wh, ww):
 
 
 def pool_max_backward_argmax(x, window_h, window_w, grad_out):
-    """pool_max_backward by argmax over a tile copy, then put_along_axis into
-    zeros. The op selects the same first max, so it must match byte for byte."""
+    """The gradient of max pooling by argmax over a tile copy, then put_along_axis
+    into zeros. pool_extreme records the same first max, so routing through its
+    offsets must match byte for byte."""
     *lead, h, w = x.shape
     ho, wo = h // window_h, w // window_w
     flat = x.reshape(*lead, ho, window_h, wo, window_w).swapaxes(-3, -2).reshape(*lead, ho, wo, -1)
@@ -674,8 +772,29 @@ class TestPooling:
 
     def test_tied_max_routes_gradient_to_first(self):
         x = np.array([[[1.0, 1.0], [0.0, 1.0]]])  # three tied maxima
-        grad = ops.pool_max_backward(x, 2, 2, np.array([[[5.0]]]))
+        pooled, offsets = ops.pool_extreme(x, 2, 2)
+        grad = ops.pool_extreme_backward(np.array([[[5.0]]]), offsets, 2, 2)
+        assert pooled.tolist() == [[[1.0]]] and offsets.tolist() == [[[0]]]
         np.testing.assert_array_equal(grad, [[[5.0, 0.0], [0.0, 0.0]]])
+
+    def test_low_channels_pool_to_their_first_min(self):
+        x = np.array([[[3.0, -1.0], [-1.0, 2.0]], [[3.0, -1.0], [-1.0, 2.0]]])  # [C=2, 2, 2], a tied min
+        pooled, offsets = ops.pool_extreme(x, 2, 2, low=np.array([False, True]))
+        assert pooled.tolist() == [[[3.0]], [[-1.0]]] and offsets.tolist() == [[[0]], [[1]]]
+        grad = ops.pool_extreme_backward(np.array([[[5.0]], [[7.0]]]), offsets, 2, 2)
+        np.testing.assert_array_equal(grad, [[[5.0, 0.0], [0.0, 0.0]], [[0.0, 7.0], [0.0, 0.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_adds_into_out_at_the_offsets_only(self, dtype):
+        rng = np.random.default_rng(19)
+        x, base = rng.normal(size=(2, 3, 4, 6)).astype(dtype), rng.normal(size=(2, 3, 4, 6)).astype(dtype)
+        grad_out = rng.normal(size=(2, 3, 2, 2)).astype(dtype)
+        offsets = ops.pool_extreme(x, 2, 3)[1]
+        out = base.copy()
+        assert ops.pool_extreme_backward(grad_out, offsets, 2, 3, out=out) is out
+        assert_same_bits(out, base + pool_max_backward_argmax(x, 2, 3, grad_out))
+        with pytest.raises(ShapeMismatchError, match="cannot route"):  # a copy would take the adds
+            ops.pool_extreme_backward(grad_out, offsets, 2, 3, out=np.asfortranarray(base))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("width_major", [False, True])
@@ -691,7 +810,10 @@ class TestPooling:
         if width_major:
             x = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
         grad_out = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
-        assert_same_bits(ops.pool_max_backward(x, wh, ww, grad_out), pool_max_backward_argmax(x, wh, ww, grad_out))
+        pooled, offsets = ops.pool_extreme(x, wh, ww)
+        assert_same_bits(pooled, ops.pool_max(x, wh, ww))
+        got = ops.pool_extreme_backward(grad_out, offsets, wh, ww)
+        assert_same_bits(got, pool_max_backward_argmax(x, wh, ww, grad_out))
 
     def test_axis_pool_tied_max_first_index(self):
         x = np.array([[2.0, 2.0, 1.0]])
@@ -706,7 +828,7 @@ class TestPooling:
 
         def f_max(t):
             y = ops.pool_max(t["x"], 2, 3)
-            return float((y * r).sum()), {"x": ops.pool_max_backward(t["x"], 2, 3, r)}
+            return float((y * r).sum()), {"x": ops.pool_extreme_backward(r, ops.pool_extreme(t["x"], 2, 3)[1], 2, 3)}
 
         assert ops.grad_check(f_max, {"x": x}, tolerance=1e-6).passed
 
@@ -889,9 +1011,9 @@ class TestBatchedOps:
         x = rng.normal(size=lead + (c, h, w)).astype(dtype)
         y = ops.pool_max(x, wh, ww)
         grad_out = rng.normal(size=y.shape).astype(dtype)
-        gx = ops.pool_max_backward(x, wh, ww, grad_out)
+        gx = ops.pool_extreme_backward(grad_out, ops.pool_extreme(x, wh, ww)[1], wh, ww)
         singles = [
-            ((ops.pool_max(xb, wh, ww), ops.pool_max_backward(xb, wh, ww, gb)), ())
+            ((ops.pool_max(xb, wh, ww), ops.pool_extreme_backward(gb, ops.pool_extreme(xb, wh, ww)[1], wh, ww)), ())
             for xb, gb in zip(x.reshape(-1, c, h, w), grad_out.reshape((-1,) + y.shape[-3:]))
         ]
         _assert_rows_and_sums(((y, gx), ()), singles, lead)
@@ -960,7 +1082,7 @@ def _layout_case(name, dtype):
     fc = LayerParams("d", weights=normal(5, 37), bias=normal(5))
     bn = LayerParams("bn", bn_gamma=normal(3), bn_beta=normal(3), bn_mean=normal(3),
                      bn_var=rng.uniform(0.5, 2.0, 3).astype(dtype))
-    x, m, g = normal(2, 2, 12, 10), normal(2, 3, 37, 29), normal(2, 3, 37, 29)
+    x, m, g, x6 = normal(2, 2, 12, 10), normal(2, 3, 37, 29), normal(2, 3, 37, 29), normal(2, 3, 36, 28)
     op, _, axis = name.partition("@")
     axis = int(axis or 0)
     return {
@@ -973,13 +1095,18 @@ def _layout_case(name, dtype):
         "batchnorm_infer_backward": (ops.batchnorm_infer_backward, m, bn, g),
         "batchnorm_train": (ops.batchnorm_train, m, bn),
         "batchnorm_train_backward": (ops.batchnorm_train_backward, bn, ops.batchnorm_train(m, bn)[3], g),
+        "batchnorm_train_pooled": (ops.batchnorm_train, x6, bn, (2, 2)),
+        "batchnorm_train_pooled_backward": (ops.batchnorm_train_backward, bn, ops.batchnorm_train(x6, bn, (2, 2))[3],
+                                            normal(2, 3, 18, 14)),
         "relu": (ops.relu, m),
         "relu_backward": (ops.relu_backward, m, g),
         "sigmoid": (ops.sigmoid, m),
         "softmax_over_axis": (ops.softmax_over_axis, m, axis),
         "softmax_backward": (ops.softmax_backward, ops.softmax_over_axis(m, axis), g, axis),
         "pool_max": (ops.pool_max, normal(2, 3, 36, 28), 2, 2),
-        "pool_max_backward": (ops.pool_max_backward, normal(2, 3, 36, 28), 2, 2, normal(2, 3, 18, 14)),
+        "pool_extreme": (ops.pool_extreme, normal(2, 3, 36, 28), 2, 2, np.array([True, False, True])),
+        "pool_extreme_backward": (ops.pool_extreme_backward, normal(2, 3, 18, 14),
+                                  ops.pool_extreme(normal(2, 3, 36, 28), 2, 2)[1], 2, 2),
         "pool_mean_over_axis": (ops.pool_mean_over_axis, m, axis),
         "pool_mean_over_axis_backward": (ops.pool_mean_over_axis_backward, m.shape, axis, m.sum(axis)),
         "pool_max_over_axis": (ops.pool_max_over_axis, m, axis),
@@ -1017,8 +1144,9 @@ AXIS_OPS = ("softmax_over_axis", "softmax_backward", "pool_mean_over_axis",
             "pool_mean_over_axis_backward", "pool_max_over_axis", "pool_max_over_axis_backward")
 LAYOUT_OPS = [
     "conv2d", "conv2d_pool", "conv2d_backward", "dense", "dense_backward", "batchnorm_infer",
-    "batchnorm_infer_backward", "batchnorm_train", "batchnorm_train_backward", "relu",
-    "relu_backward", "sigmoid", "pool_max", "pool_max_backward",
+    "batchnorm_infer_backward", "batchnorm_train", "batchnorm_train_backward", "batchnorm_train_pooled",
+    "batchnorm_train_pooled_backward", "relu",
+    "relu_backward", "sigmoid", "pool_max", "pool_extreme", "pool_extreme_backward",
     *(f"{op}@{axis}" for op in AXIS_OPS for axis in (-2, -1)),
 ]
 

@@ -225,12 +225,12 @@ class TestFit:
 
     # sha256 of every tensor after a 2-epoch fit, concatenated in tensors() order
     POST_FIT_SHA256 = {
-        ("musicnn", "temporal_pooling", "float64"): "e592df5f5ccf87b9717fdcc8c5ff3fc09cab6b957b3bfd83bd1891e2f2227d19",
-        ("musicnn", "temporal_pooling", "float32"): "fb1da9badcc55d33cf2333e3a5732230046d453f53d40c4f233b811aba861bac",
-        ("musicnn", "attention", "float64"): "1c8667c4388435571ba084a89e79e9822079c99f84f571c5f423711590872665",
-        ("musicnn", "attention", "float32"): "21526aca1e796f1347e03585b9ff16213471001ba6748e25e0f729774bae52d3",
-        ("vgg", "temporal_pooling", "float64"): "2e4cebe779dbb4d38e799453781cc06acc10ff9c4d77e8741ee9eb7c862dc2fa",
-        ("vgg", "temporal_pooling", "float32"): "cfefb0e26334a48add60a3e0d24203af042d5145b4c7677b6ccc0b9d87f00323",
+        ("musicnn", "temporal_pooling", "float64"): "a05082c76576cd26d81212aaa6e9dac21a243b2777bb7f2d6cb001361a1f55ce",
+        ("musicnn", "temporal_pooling", "float32"): "842b0940434e93e443aaedb34d226945e61f57f15f8cc5ce1209f72340b3e26a",
+        ("musicnn", "attention", "float64"): "7def5623cd771c9836231516cc99595e43002f3fb174f3ac1ed84bbe1c83fa5e",
+        ("musicnn", "attention", "float32"): "f187d4351d72168ca7e728e1a3491e309073e5740c195794f80df0d8dd573fdf",
+        ("vgg", "temporal_pooling", "float64"): "d347e41e61bad4c71c62bcd25e831ce9dc0480150089ebc1f58431856797ce7e",
+        ("vgg", "temporal_pooling", "float32"): "d2304c59d4920561a9a3a4b0b3e94dd02c8089b4ee095eb7bd8a8cf62c3a5957",
     }
 
     @pytest.mark.parametrize("family, backend, mode", list(POST_FIT_SHA256), ids=map("-".join, POST_FIT_SHA256))
